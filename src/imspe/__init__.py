@@ -31,10 +31,6 @@ from .integrals import (
     BESSEL_BRACKET_MATERN52,
     bessel_polynomial_coefficients,
     pair_integral,
-    pair_integral_exponential,
-    pair_integral_gaussian,
-    pair_integral_matern32,
-    pair_integral_matern52,
     single_integral,
     symmetrize_plus,
 )
@@ -86,10 +82,6 @@ __all__ = [
     "BESSEL_BRACKET_MATERN52",
     "bessel_polynomial_coefficients",
     "pair_integral",
-    "pair_integral_exponential",
-    "pair_integral_gaussian",
-    "pair_integral_matern32",
-    "pair_integral_matern52",
     "single_integral",
     "symmetrize_plus",
     "ImspeEvaluation",

@@ -117,7 +117,6 @@ def cmd_eval(args):
     started = time.perf_counter()
     family = CovarianceFamily(args.family, args.theta)
     design = Design(_parse_points(args.points))
-    family.theta_for_dimension(design.d)
     evaluation = imspe(family, design)
     outputs = {
         "imspe": _fmt(evaluation.value),

@@ -42,24 +42,33 @@ class ImspeEvaluation:
     R: np.ndarray
     W: np.ndarray
     v: np.ndarray
-    cholesky_ok: bool
-    condition_estimate: float
+
+    @property
+    def condition_estimate(self):
+        """2-norm condition number of R, computed (by SVD) each time it is read."""
+        return float(np.linalg.cond(self.R))
+
+
+def sorted_rows(points):
+    """Rows of an (n, d) array in lexicographic order, first column most significant."""
+    return points[np.lexsort(points.T[::-1])]
 
 
 def _canonical_evaluation_points(points):
     # the criterion is invariant under point relabeling and per-axis
     # reflection; evaluating every member of that orbit at one canonical
     # representative makes the invariances hold to the last bit (sign flips
-    # and row reordering are exact operations on binary64 values)
+    # and row reordering are exact operations on binary64 values). Above
+    # d = 16 the 2^d sign flips cost too much, so only the rows are sorted
+    # and reflection invariance holds only to rounding
     n, d = points.shape
     if d > 16:
-        return points[np.lexsort(points.T[::-1])]
+        return sorted_rows(points)
     best = None
     best_key = None
     for mask in range(1 << d):
         signs = np.where((mask >> np.arange(d)) & 1, -1.0, 1.0)
-        variant = points * signs
-        variant = variant[np.lexsort(variant.T[::-1])]
+        variant = sorted_rows(points * signs)
         key = tuple(variant.ravel().tolist())
         if best_key is None or key < best_key:
             best, best_key = variant, key
@@ -98,7 +107,11 @@ def build_single_vector(family, design):
 
 
 def _factor(R):
-    """Cholesky factor of R, or SingularDesignError carrying a condition estimate."""
+    """Cholesky factor of R, u = R^{-1} 1 and 1'u, or SingularDesignError.
+
+    Raises when R has no Cholesky factor (the error carries an infinite
+    condition estimate) or when 1'R^{-1}1 is not positive and finite.
+    """
     try:
         cho = cho_factor(R, lower=True)
     except LinAlgError as exc:
@@ -109,7 +122,14 @@ def _factor(R):
     diag = np.diag(cho[0])
     if not np.all(np.isfinite(cho[0])) or np.any(diag <= 0.0):
         raise SingularDesignError("correlation matrix factorization produced non-finite entries")
-    return cho
+    ones = np.ones(R.shape[0])
+    u = cho_solve(cho, ones)
+    denom = float(u @ ones)
+    if not math.isfinite(denom) or denom <= 0.0:
+        raise SingularDesignError(
+            "correlation matrix is numerically singular (1'R^{-1}1 not positive)"
+        )
+    return cho, u, denom
 
 
 def imspe(family, design):
@@ -124,7 +144,13 @@ def imspe(family, design):
     -------
     ImspeEvaluation
         ``value`` holds the criterion; ``R``, ``W``, ``v`` the intermediates;
-        ``condition_estimate`` the 2-norm condition number of R.
+        ``condition_estimate`` the 2-norm condition number of R, computed
+        only when read.
+
+    The points are canonicalized first, so for d <= 16 the value is
+    bitwise invariant under point permutation and per-axis reflection. For
+    d > 16 only the rows are sorted: permutation invariance stays bitwise,
+    reflection invariance holds only to rounding.
 
     Raises
     ------
@@ -136,23 +162,13 @@ def imspe(family, design):
     R = build_correlation_matrix(family, dsn)
     W = build_pair_matrix(family, dsn)
     v = build_single_vector(family, dsn)
-    cho = _factor(R)
-    ones = np.ones(dsn.n)
-    u = cho_solve(cho, ones)
-    denom = float(u @ ones)
-    if not math.isfinite(denom) or denom <= 0.0:
-        raise SingularDesignError(
-            "correlation matrix is numerically singular (1'R^{-1}1 not positive)"
-        )
+    cho, u, denom = _factor(R)
     trace = float(np.trace(cho_solve(cho, W)))
     lin = float(u @ v)
     quad = float(u @ W @ u)
     # exact summation keeps the n = 1 identity value == 2 - 2 v[0] bit-exact
     value = math.fsum((1.0, -trace, 1.0 / denom, -2.0 * lin / denom, quad / denom))
-    condition = float(np.linalg.cond(R))
-    return ImspeEvaluation(
-        value=value, R=R, W=W, v=v, cholesky_ok=True, condition_estimate=condition
-    )
+    return ImspeEvaluation(value=value, R=R, W=W, v=v)
 
 
 def imspe_value(family, design):
@@ -169,14 +185,7 @@ def mspe_evaluator(family, design):
     """
     dsn = as_design(design)
     R = build_correlation_matrix(family, dsn)
-    cho = _factor(R)
-    ones = np.ones(dsn.n)
-    u = cho_solve(cho, ones)
-    denom = float(u @ ones)
-    if not math.isfinite(denom) or denom <= 0.0:
-        raise SingularDesignError(
-            "correlation matrix is numerically singular (1'R^{-1}1 not positive)"
-        )
+    cho, u, denom = _factor(R)
 
     def profile(x):
         arr = np.asarray(x, dtype=float)

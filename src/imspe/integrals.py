@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .errors import InvalidHyperparameterError
-from .kernels import validate_kind
+from .kernels import validate_kind, validate_theta
 
 # Stationary-bracket coefficients, highest-order Bessel rows first entry:
 # reversed rows n = 3 and n = 5 of the Bessel polynomial triangle.
@@ -80,12 +79,9 @@ def symmetrize_plus(f, a, b):
     return f(a, b) + f(-a, -b)
 
 
-def _validate_args(theta, *coords):
-    th = np.asarray(theta, dtype=float)
-    if th.size == 0 or not np.all(np.isfinite(th)) or np.any(th <= 0.0):
-        raise InvalidHyperparameterError(
-            f"theta must be positive and finite, got {theta!r}"
-        )
+def _validate_args(kind, theta, *coords):
+    validate_kind(kind)
+    validate_theta(theta)
     for c in coords:
         arr = np.asarray(c, dtype=float)
         if not np.all(np.isfinite(arr)):
@@ -94,7 +90,7 @@ def _validate_args(theta, *coords):
             raise ValueError("integral anchor points must lie in [-1, 1]")
 
 
-def pair_integral_exponential(theta, a, b):
+def _pair_exponential(theta, a, b):
     """Pair average for rho(h) = exp(-theta h).
 
     With delta = |b - a| and S = a + b:
@@ -102,7 +98,6 @@ def pair_integral_exponential(theta, a, b):
         ( (1 + theta delta) e^{-theta delta}
           - (1/2) (e^{-theta (2 + S)} + e^{-theta (2 - S)}) ) / (2 theta)
     """
-    _validate_args(theta, a, b)
     th = np.asarray(theta, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -113,7 +108,7 @@ def pair_integral_exponential(theta, a, b):
     return (stationary - boundary) / (2.0 * th)
 
 
-def pair_integral_gaussian(theta, a, b):
+def _pair_gaussian(theta, a, b):
     """Pair average for rho(h) = exp(-theta h^2).
 
     The product of the two kernels is a gaussian centered at m = (a + b)/2
@@ -122,7 +117,6 @@ def pair_integral_gaussian(theta, a, b):
         (1/4) sqrt(pi / (2 theta)) e^{-theta (a - b)^2 / 2}
             * ( erf(c (1 - m)) + erf(c (1 + m)) )
     """
-    _validate_args(theta, a, b)
     th = np.asarray(theta, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -132,7 +126,7 @@ def pair_integral_gaussian(theta, a, b):
     return amp * (erf(c * (1.0 - m)) + erf(c * (1.0 + m)))
 
 
-def pair_integral_matern32(theta, a, b):
+def _pair_matern32(theta, a, b):
     """Pair average for the nu = 3/2 Matern kernel.
 
     With u = sqrt(3 theta) and t = |b - a| u:
@@ -144,7 +138,6 @@ def pair_integral_matern32(theta, a, b):
     where J+ g(a, b) = g(a, b) + g(-a, -b). The stationary coefficients
     (15, 15, 6, 1) are the reversed degree-3 Bessel row.
     """
-    _validate_args(theta, a, b)
     th = np.asarray(theta, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -161,7 +154,7 @@ def pair_integral_matern32(theta, a, b):
     return (stationary - 3.0 * symmetrize_plus(boundary, a, b)) / (24.0 * u)
 
 
-def pair_integral_matern52(theta, a, b):
+def _pair_matern52(theta, a, b):
     """Pair average for the nu = 5/2 Matern kernel.
 
     With s = sqrt(5 theta) and t = |b - a| s:
@@ -176,7 +169,6 @@ def pair_integral_matern52(theta, a, b):
         P(a, b) = 945 + 675 (2 + S) s + 30 (27 + 27 S + 5 S^2 + 7 G) s^2
                   + 120 (1 + S + G) (2 + S) s^3 + 30 (1 + S + G)^2 s^4.
     """
-    _validate_args(theta, a, b)
     th = np.asarray(theta, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -203,16 +195,26 @@ def pair_integral_matern52(theta, a, b):
 
 
 _PAIR = {
-    "exponential": pair_integral_exponential,
-    "gaussian": pair_integral_gaussian,
-    "matern32": pair_integral_matern32,
-    "matern52": pair_integral_matern52,
+    "exponential": _pair_exponential,
+    "gaussian": _pair_gaussian,
+    "matern32": _pair_matern32,
+    "matern52": _pair_matern52,
 }
 
 
 def pair_integral(kind, theta, a, b):
-    """Family dispatch for the pair average; identical to the per-family functions."""
-    validate_kind(kind)
+    """Closed-form pair average (1/2) * int_{-1}^{1} rho(|a - x|) rho(|b - x|) dx.
+
+    Parameters
+    ----------
+    kind : str
+        One of ``FAMILY_KINDS``.
+    theta : float
+        Positive length scale.
+    a, b : float or ndarray in [-1, 1]
+        Anchor points; arrays broadcast against each other.
+    """
+    _validate_args(kind, theta, a, b)
     return _PAIR[kind](theta, a, b)
 
 
@@ -274,8 +276,7 @@ def single_integral(kind, theta, a):
     a : float or ndarray in [-1, 1]
         Anchor point.
     """
-    validate_kind(kind)
-    _validate_args(theta, a)
+    _validate_args(kind, theta, a)
     return _SINGLE[kind](theta, a)
 
 
@@ -285,9 +286,5 @@ __all__ = [
     "bessel_polynomial_coefficients",
     "symmetrize_plus",
     "pair_integral",
-    "pair_integral_exponential",
-    "pair_integral_gaussian",
-    "pair_integral_matern32",
-    "pair_integral_matern52",
     "single_integral",
 ]

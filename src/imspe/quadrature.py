@@ -24,10 +24,9 @@ from .kernels import as_design, rho, validate_kind, validate_theta
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Refinement policy: base rule size, extra panel splits, stopping rule."""
+    """Refinement policy: base rule size and stopping rule."""
 
     nodes_per_panel: int = 64
-    split_points: tuple = ()
     rtol: float = 1e-13
     max_doublings: int = 6
 
@@ -38,9 +37,6 @@ class QuadratureSpec:
             raise ValueError("rtol must be positive")
         if self.max_doublings < 0:
             raise ValueError("max_doublings must be nonnegative")
-        object.__setattr__(
-            self, "split_points", tuple(float(p) for p in self.split_points)
-        )
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -76,7 +72,7 @@ def average_over_domain(func, splits=(), spec=DEFAULT_SPEC):
         Vectorized integrand mapping an ndarray of abscissae to values.
     splits : iterable of float
         Abscissae where the integrand loses smoothness; points outside the
-        open interval are ignored. Merged with ``spec.split_points``.
+        open interval are ignored.
     spec : QuadratureSpec
 
     Raises
@@ -84,7 +80,7 @@ def average_over_domain(func, splits=(), spec=DEFAULT_SPEC):
     OracleDivergenceError
         If successive refinements never agree to ``spec.rtol``.
     """
-    breaks = _panel_breaks(tuple(splits) + spec.split_points)
+    breaks = _panel_breaks(splits)
     n = spec.nodes_per_panel
     previous = None
     for _ in range(spec.max_doublings + 1):

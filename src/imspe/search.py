@@ -20,13 +20,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .criterion import imspe
+from .criterion import imspe, sorted_rows
 from .errors import SingularDesignError
 from .kernels import Design, as_design
 
 _ARMIJO = 1e-4
 _LINESEARCH_CAP = 60
 _CURVATURE_FLOOR = 1e-12
+_FD_STEP = 1e-6
+# converged designs within this infinity-norm distance count as one optimum
+_CLUSTER_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -36,17 +39,15 @@ class SearchConfig:
     starts: int = 32
     feasibility_tol: float = 1e-7
     optimality_tol: float = 1e-9
-    fd_step: float = 1e-6
     max_iterations: int = 500
     seed: int = 0
-    cluster_tol: float = 1e-5
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        for name in ("feasibility_tol", "optimality_tol", "fd_step", "cluster_tol"):
+        for name in ("feasibility_tol", "optimality_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -80,12 +81,12 @@ def _objective(family, flat, shape):
         return math.inf
 
 
-def fd_gradient(family, design, fd_step=1e-6):
+def fd_gradient(family, design):
     """Finite-difference gradient of the criterion in every coordinate.
 
-    Central differences in the interior; second-order one-sided stencils when
-    a coordinate sits within one step of its bound, so evaluation never leaves
-    the box. Returns a flat gradient, point-major.
+    Central differences with step 1e-6 in the interior; second-order
+    one-sided stencils when a coordinate sits within one step of its bound,
+    so evaluation never leaves the box. Returns a flat gradient, point-major.
     """
     dsn = as_design(design)
     shape = dsn.points.shape
@@ -98,8 +99,8 @@ def fd_gradient(family, design, fd_step=1e-6):
         shifted[i] += offset
         return _objective(family, shifted, shape)
 
+    h = _FD_STEP
     for i in range(x.size):
-        h = fd_step
         if x[i] + h <= 1.0 and x[i] - h >= -1.0:
             grad[i] = (at(i, h) - at(i, -h)) / (2.0 * h)
         elif x[i] + h > 1.0:
@@ -151,7 +152,7 @@ def local_search(family, start, config=DEFAULT_CONFIG):
     f = _objective(family, x, shape)
     if not math.isfinite(f):
         raise SingularDesignError("starting design has a singular correlation matrix")
-    g = fd_gradient(family, x.reshape(shape), config.fd_step)
+    g = fd_gradient(family, x.reshape(shape))
     if not np.all(np.isfinite(g)):
         # a singular configuration one step away poisons the stencil
         return LocalSearchResult(Design(x.reshape(shape)), f, False, 0, math.inf)
@@ -196,7 +197,7 @@ def local_search(family, start, config=DEFAULT_CONFIG):
             h_is_identity = True
             continue
 
-        g_new = fd_gradient(family, x_new.reshape(shape), config.fd_step)
+        g_new = fd_gradient(family, x_new.reshape(shape))
         if not np.all(np.isfinite(g_new)):
             return LocalSearchResult(
                 Design(x_new.reshape(shape)), f_new, False, iterations, math.inf
@@ -220,12 +221,6 @@ def local_search(family, start, config=DEFAULT_CONFIG):
     grad_norm = float(np.max(np.abs(pg)))
     converged = converged or grad_norm <= config.optimality_tol
     return LocalSearchResult(Design(x.reshape(shape)), f, converged, iterations, grad_norm)
-
-
-def _canonical_points(points):
-    pts = np.asarray(points, dtype=float)
-    order = np.lexsort(tuple(pts[:, k] for k in reversed(range(pts.shape[1]))))
-    return pts[order]
 
 
 def _generate_starts(n, d, count, rng):
@@ -266,7 +261,7 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
     # ulp; within such a plateau every member is numerically equivalent, so
     # prefer the most stationary one, then the smallest-magnitude coordinates
     ranked = sorted(
-        ((_canonical_points(o.design.points), o.value, o.grad_norm) for o in converged),
+        ((sorted_rows(o.design.points), o.value, o.grad_norm) for o in converged),
         key=lambda item: (
             item[1],
             item[2],
@@ -276,7 +271,7 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
     )
     clusters = []
     for pts, value, _ in ranked:
-        if any(np.max(np.abs(pts - kept)) <= config.cluster_tol for kept, _ in clusters):
+        if any(np.max(np.abs(pts - kept)) <= _CLUSTER_TOL for kept, _ in clusters):
             continue
         clusters.append((pts, value))
     minima = tuple((Design(pts), value) for pts, value in clusters)

@@ -161,6 +161,8 @@ def test_singular_design_raises_with_condition_estimate():
     with pytest.raises(SingularDesignError) as info:
         imspe(fam, [0.25, 0.25])
     assert info.value.condition_estimate == math.inf
+    with pytest.raises(SingularDesignError):
+        mspe_evaluator(fam, [0.25, 0.25])
 
 
 def test_evaluation_diagnostics_shape():
@@ -169,9 +171,25 @@ def test_evaluation_diagnostics_shape():
     assert ev.R.shape == (2, 2)
     assert ev.W.shape == (2, 2)
     assert ev.v.shape == (2,)
-    assert ev.cholesky_ok
     assert ev.condition_estimate >= 1.0
     assert 0.0 < ev.value < 2.0
+
+
+def test_condition_estimate_is_computed_only_when_read(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+
+    def counting_cond(*args, **kwargs):
+        calls.append(args)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    fam = CovarianceFamily("matern52", [2.0])
+    ev = imspe(fam, [-0.6, 0.1, 0.6])
+    assert 0.0 < ev.value < 1.0
+    assert calls == []
+    assert ev.condition_estimate == cond(ev.R)
+    assert len(calls) == 1
 
 
 def test_mspe_profile_interpolates_design_points():

@@ -19,10 +19,6 @@ from imspe import (
     InvalidHyperparameterError,
     bessel_polynomial_coefficients,
     pair_integral,
-    pair_integral_exponential,
-    pair_integral_gaussian,
-    pair_integral_matern32,
-    pair_integral_matern52,
     single_integral,
 )
 
@@ -114,17 +110,6 @@ def test_single_reflection_and_bounds(kind, theta, a):
     assert 0.0 < value <= 1.0
 
 
-def test_dispatch_matches_family_functions():
-    fns = {
-        "exponential": pair_integral_exponential,
-        "gaussian": pair_integral_gaussian,
-        "matern32": pair_integral_matern32,
-        "matern52": pair_integral_matern52,
-    }
-    for kind, fn in fns.items():
-        assert float(pair_integral(kind, 2.5, 0.3, -0.6)) == float(fn(2.5, 0.3, -0.6))
-
-
 def test_vectorized_inputs_match_scalar_loop():
     a = np.linspace(-1.0, 1.0, 7)
     b = np.linspace(1.0, -1.0, 7)
@@ -146,6 +131,18 @@ def test_invalid_theta_and_out_of_box_anchor(kind):
         pair_integral(kind, 1.0, 1.5, 0.0)
     with pytest.raises(ValueError):
         single_integral(kind, 1.0, -1.0001)
+    with pytest.raises(ValueError, match="finite"):
+        pair_integral(kind, 1.0, math.nan, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        single_integral(kind, 1.0, math.nan)
+    with pytest.raises(InvalidHyperparameterError):
+        pair_integral(kind, math.nan, 0.1, 0.2)
+    with pytest.raises(InvalidHyperparameterError):
+        single_integral(kind, math.nan, 0.1)
+    with pytest.raises(InvalidHyperparameterError, match="unknown covariance kind"):
+        pair_integral(kind + "x", 1.0, 0.1, 0.2)
+    with pytest.raises(InvalidHyperparameterError, match="unknown covariance kind"):
+        single_integral(kind + "x", 1.0, 0.1)
 
 
 class TestBesselCoefficients:

@@ -201,8 +201,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        SearchConfig(fd_step=0.0)
-    with pytest.raises(ValueError):
         SearchConfig(optimality_tol=-1.0)
     with pytest.raises(ValueError):
         multistart_search(CovarianceFamily("gaussian", [1.0]), 0, 1)
