@@ -146,7 +146,7 @@ def cmd_integral(args):
     family = CovarianceFamily(args.family, [args.theta])
     theta = family.theta[0]
     for name, val in (("a", args.a), ("b", args.b)):
-        if val is not None and abs(val) > 1.0:
+        if val is not None and not abs(val) <= 1.0:
             raise InvalidDesignError(f"--{name} must lie in [-1, 1], got {val}")
     pair = args.b is not None
     outputs = {"kind": "pair" if pair else "single", "method": args.method}

@@ -55,24 +55,36 @@ def sorted_rows(points):
 
 
 def _canonical_evaluation_points(points):
-    # the criterion is invariant under point relabeling and per-axis
-    # reflection; evaluating every member of that orbit at one canonical
-    # representative makes the invariances hold to the last bit (sign flips
-    # and row reordering are exact operations on binary64 values). Above
-    # d = 16 the 2^d sign flips cost too much, so only the rows are sorted
-    # and reflection invariance holds only to rounding
+    # evaluating one representative per orbit under row permutation and
+    # per-axis reflection makes both invariances exact (sign flips and row
+    # moves are exact on binary64): the smallest flattened
+    # sorted_rows(points * s) over sign vectors s, ties to the least flip
+    # mask (bit k set when axis k is negated). It grows row by row: the next
+    # row is the smallest any unplaced row can become (-|x| on an axis whose
+    # sign is free, +1 until fixed) and fixes its nonzero axes; tied rows
+    # branch, and branches whose signed points agree (0.0 == -0.0) merge
     n, d = points.shape
-    if d > 16:
-        return sorted_rows(points)
-    best = None
-    best_key = None
-    for mask in range(1 << d):
-        signs = np.where((mask >> np.arange(d)) & 1, -1.0, 1.0)
-        variant = sorted_rows(points * signs)
-        key = tuple(variant.ravel().tolist())
-        if best_key is None or key < best_key:
-            best, best_key = variant, key
-    return best
+    neg = -np.abs(points)
+    free = [True] * d
+    branches = [([1.0] * d, list(range(n)), neg.tolist())]
+    while True:
+        head = min(min(rows) for _, _, rows in branches)
+        grown = [
+            ([-1.0 if f and x > 0.0 else v for v, f, x in zip(s, free, points[i])], rest, i)
+            for s, rest, rows in branches for i, row in zip(rest, rows) if row == head
+        ]
+        grown.sort(key=lambda branch: [v < 0.0 for v in reversed(branch[0])])
+        merged = {}
+        for s, rest, i in grown:
+            variant = sorted_rows(points * s)
+            merged.setdefault((variant + 0.0).tobytes(), (variant, s, [j for j in rest if j != i]))
+        free = [f and x == 0.0 for f, x in zip(free, head)]
+        if not any(free) or not points[:, free].any():
+            return min([entry[0] for entry in merged.values()], key=lambda v: v.ravel().tolist())
+        branches = [
+            (s, rest, np.where(free, neg[rest], points[rest] * s).tolist())
+            for _, s, rest in merged.values()
+        ]
 
 
 def build_correlation_matrix(family, design):
@@ -147,10 +159,8 @@ def imspe(family, design):
         ``condition_estimate`` the 2-norm condition number of R, computed
         only when read.
 
-    The points are canonicalized first, so for d <= 16 the value is
-    bitwise invariant under point permutation and per-axis reflection. For
-    d > 16 only the rows are sorted: permutation invariance stays bitwise,
-    reflection invariance holds only to rounding.
+    The points are canonicalized first, so the value is bitwise invariant
+    under point permutation and per-axis reflection.
 
     Raises
     ------

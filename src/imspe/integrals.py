@@ -83,11 +83,9 @@ def _validate_args(kind, theta, *coords):
     validate_kind(kind)
     validate_theta(theta)
     for c in coords:
-        arr = np.asarray(c, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("integral anchor points must be finite")
-        if np.any(np.abs(arr) > 1.0):
-            raise ValueError("integral anchor points must lie in [-1, 1]")
+        # NaN fails the comparison too
+        if not (np.abs(np.asarray(c, dtype=float)) <= 1.0).all():
+            raise ValueError("integral anchor points must be finite and lie in [-1, 1]")
 
 
 def _pair_exponential(theta, a, b):

@@ -129,15 +129,6 @@ def projected_gradient(x, g, feasibility_tol=1e-7):
     return pg
 
 
-def _clamp_outward(x, direction, feasibility_tol):
-    d = direction.copy()
-    lower = x <= -1.0 + feasibility_tol
-    upper = x >= 1.0 - feasibility_tol
-    d[lower & (d < 0.0)] = 0.0
-    d[upper & (d > 0.0)] = 0.0
-    return d
-
-
 def local_search(family, start, config=DEFAULT_CONFIG):
     """Projected-BFGS descent from one starting design.
 
@@ -168,7 +159,7 @@ def local_search(family, start, config=DEFAULT_CONFIG):
             break
         iterations += 1
 
-        direction = _clamp_outward(x, -(H @ g), config.feasibility_tol)
+        direction = -projected_gradient(x, H @ g, config.feasibility_tol)
         if float(direction @ g) >= 0.0 or not np.any(direction):
             # quasi-Newton model broke down; restart from steepest descent
             H = np.eye(x.size)

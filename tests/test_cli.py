@@ -156,12 +156,13 @@ class TestIntegral:
         assert record["inputs"]["b"] == -0.25
 
     def test_anchor_outside_box_exit_usage(self, capsys):
-        code, _, err = run_cli(
-            ["integral", "--family", "exponential", "--theta", "1", "--a", "1.2"],
-            capsys,
-        )
-        assert code == 2
-        assert "[-1, 1]" in err
+        for anchor in (["--a", "1.2"], ["--a", "nan", "--method", "quadrature"]):
+            code, _, err = run_cli(
+                ["integral", "--family", "exponential", "--theta", "1"] + anchor,
+                capsys,
+            )
+            assert code == 2
+            assert "[-1, 1]" in err
 
 
 class TestSearch:

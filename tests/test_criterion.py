@@ -9,6 +9,7 @@ from imspe import (
     FAMILY_KINDS,
     CovarianceFamily,
     Design,
+    InvalidHyperparameterError,
     SingularDesignError,
     build_correlation_matrix,
     build_pair_matrix,
@@ -21,6 +22,8 @@ from imspe import (
     pair_integral,
     single_integral,
 )
+from imspe import criterion
+from imspe.criterion import _canonical_evaluation_points, sorted_rows
 
 THETAS = (0.1, 1.0, 10.0)
 
@@ -140,6 +143,83 @@ def test_permutation_invariance_is_exact():
     for _ in range(5):
         perm = rng.permutation(pts)
         assert imspe_value(fam, perm) == base
+
+
+def _canonical_by_enumeration(points):
+    # reference: every one of the 2^d per-axis sign flips, keeping the first
+    # variant whose row-sorted, flattened coordinates are smallest
+    d = points.shape[1]
+    best, best_key = None, None
+    for mask in range(1 << d):
+        signs = np.where((mask >> np.arange(d)) & 1, -1.0, 1.0)
+        variant = sorted_rows(points * signs)
+        key = tuple(variant.ravel().tolist())
+        if best_key is None or key < best_key:
+            best, best_key = variant, key
+    return best
+
+
+def _canonicalization_cases(rng):
+    for d in range(1, 8):
+        corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T
+        star = np.vstack([0.7 * np.eye(d), -0.7 * np.eye(d)])
+        yield np.vstack([corners, star, np.zeros((1, d))])  # central composite
+        yield np.vstack([star, np.zeros((1, d))])
+        for n in (1, 2, 3, 5, 8):
+            # the diagonal equispaced design every multistart begins with
+            yield np.repeat(np.linspace(-1.0, 1.0, n + 2)[1:-1, None], d, axis=1)
+            for _ in range(3):
+                yield rng.uniform(-1.0, 1.0, size=(n, d))
+                grid = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, d))  # ties, zeros
+                yield grid
+                zero_axis = grid.copy()
+                zero_axis[:, rng.integers(d)] = 0.0
+                yield zero_axis
+                half = rng.uniform(-1.0, 1.0, size=(n, d))
+                yield np.vstack([half, -half])  # centrally symmetric
+                yield np.vstack([grid, grid[: max(1, n // 2)]])  # repeated rows
+                yield np.vstack([grid, grid * np.where(rng.random(d) < 0.5, -1.0, 1.0)])
+
+
+def test_canonical_points_match_the_sign_flip_enumeration():
+    rng = np.random.default_rng(5)
+    for points in _canonicalization_cases(rng):
+        fast = _canonical_evaluation_points(points)
+        slow = _canonical_by_enumeration(points)
+        assert np.array_equal(fast, slow)
+        assert fast.tobytes() == slow.tobytes()  # signed zeros agree too
+
+
+def test_canonical_points_sort_once_when_the_extreme_row_is_unique(monkeypatch):
+    calls = []
+
+    def counting_sorted_rows(points):
+        calls.append(points.shape)
+        return sorted_rows(points)
+
+    monkeypatch.setattr(criterion, "sorted_rows", counting_sorted_rows)
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 10, 40):
+        calls.clear()
+        _canonical_evaluation_points(rng.uniform(-1.0, 1.0, size=(12, d)))
+        assert calls == [(12, d)]
+
+
+def test_permutation_and_reflection_invariance_above_sixteen_axes():
+    rng = np.random.default_rng(17)
+    fam = CovarianceFamily("matern52", [2.0])
+    for d in range(17, 41):
+        for _ in range(2):
+            pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 7)), d))
+            moved = rng.permutation(pts) * np.where(rng.random(d) < 0.5, -1.0, 1.0)
+            assert imspe_value(fam, moved) == imspe_value(fam, pts)
+
+
+def test_wrong_theta_count_raises_at_sixteen_axes():
+    fam = CovarianceFamily("matern52", [1.0, 2.0])
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(3, 16))
+    with pytest.raises(InvalidHyperparameterError):
+        imspe(fam, pts)
 
 
 def test_monotone_information_gain():
