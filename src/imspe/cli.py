@@ -145,9 +145,6 @@ def cmd_integral(args):
     started = time.perf_counter()
     family = CovarianceFamily(args.family, [args.theta])
     theta = family.theta[0]
-    for name, val in (("a", args.a), ("b", args.b)):
-        if val is not None and not abs(val) <= 1.0:
-            raise InvalidDesignError(f"--{name} must lie in [-1, 1], got {val}")
     pair = args.b is not None
     outputs = {"kind": "pair" if pair else "single", "method": args.method}
     if args.method in ("closed", "both"):
@@ -195,9 +192,6 @@ def _search_config(args):
 def cmd_search(args):
     started = time.perf_counter()
     family = CovarianceFamily(args.family, args.theta)
-    family.theta_for_dimension(args.d)
-    if args.n < 1 or args.d < 1:
-        raise InvalidDesignError("--n and --d must be positive")
     config = _search_config(args)
     result = multistart_search(family, args.n, args.d, config)
     outputs = {

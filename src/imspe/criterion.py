@@ -26,7 +26,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import SingularDesignError
-from .integrals import pair_integral, single_integral
+# pair_integral and single_integral are re-exported: bench/spans.py traces them here
+from .integrals import _PAIR, _SINGLE, pair_integral, single_integral  # noqa: F401
 from .kernels import as_design, cross_correlation
 
 
@@ -93,29 +94,28 @@ def build_correlation_matrix(family, design):
     return cross_correlation(family, dsn.points, dsn.points)
 
 
-def build_pair_matrix(family, design):
-    """Symmetric n x n matrix of pair averages W_ij over the box.
+def _averages(family, points):
+    """W and v of checked (n, d) points in one pass over the axes, without argument checks."""
+    n, d = points.shape
+    th = family.theta_for_dimension(d)
+    pair, single = _PAIR[family.kind], _SINGLE[family.kind]
+    W = np.ones((n, n))
+    v = np.ones(n)
+    for k in range(d):
+        col = points[:, k]
+        W *= pair(th[k], col[:, None], col[None, :])
+        v *= single(th[k], col)
+    return W, v
 
-    Each entry is the product over dimensions of the one-dimensional pair
-    average at the two points' coordinates in that dimension.
-    """
-    dsn = as_design(design)
-    th = family.theta_for_dimension(dsn.d)
-    out = np.ones((dsn.n, dsn.n))
-    for k in range(dsn.d):
-        col = dsn.points[:, k]
-        out *= pair_integral(family.kind, th[k], col[:, None], col[None, :])
-    return out
+
+def build_pair_matrix(family, design):
+    """Symmetric n x n matrix of pair averages W_ij over the box (tensor product over axes)."""
+    return _averages(family, as_design(design).points)[0]
 
 
 def build_single_vector(family, design):
     """Length-n vector of single averages v_i over the box (tensor product over dimensions)."""
-    dsn = as_design(design)
-    th = family.theta_for_dimension(dsn.d)
-    out = np.ones(dsn.n)
-    for k in range(dsn.d):
-        out *= single_integral(family.kind, th[k], dsn.points[:, k])
-    return out
+    return _averages(family, as_design(design).points)[1]
 
 
 def _factor(R):
@@ -160,18 +160,21 @@ def imspe(family, design):
         only when read.
 
     The points are canonicalized first, so the value is bitwise invariant
-    under point permutation and per-axis reflection.
+    under point permutation and per-axis reflection. The input is checked
+    once: the family checked its kind and theta when built, one ``Design``
+    checks the points, and R, W and v are assembled on the checked arrays.
 
     Raises
     ------
+    InvalidDesignError, InvalidHyperparameterError
+        On bad points, or a theta count that is neither 1 nor d.
     SingularDesignError
         If R has no Cholesky factorization (coincident or near-coincident
         points).
     """
-    dsn = as_design(_canonical_evaluation_points(as_design(design).points))
-    R = build_correlation_matrix(family, dsn)
-    W = build_pair_matrix(family, dsn)
-    v = build_single_vector(family, dsn)
+    points = _canonical_evaluation_points(as_design(design).points)
+    R = cross_correlation(family, points, points)
+    W, v = _averages(family, points)
     cho, u, denom = _factor(R)
     trace = float(np.trace(cho_solve(cho, W)))
     lin = float(u @ v)

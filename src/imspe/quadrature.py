@@ -19,7 +19,8 @@ import numpy as np
 
 from .criterion import mspe_evaluator
 from .errors import OracleDivergenceError
-from .kernels import as_design, rho, validate_kind, validate_theta
+from .integrals import _validate_args
+from .kernels import as_design, rho
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ def integrate_pair(kind, theta, a, b, spec=DEFAULT_SPEC):
     Panels split at a and b. Matches pair_integral to near machine
     precision; the test suite holds the two within 1e-12 relative.
     """
-    validate_kind(kind)
-    validate_theta(theta)
+    _validate_args(kind, theta, a, b)
     af = float(a)
     bf = float(b)
 
@@ -114,8 +114,7 @@ def integrate_pair(kind, theta, a, b, spec=DEFAULT_SPEC):
 
 def integrate_single(kind, theta, a, spec=DEFAULT_SPEC):
     """Oracle value of (1/2) * int rho(|a - x|) dx on [-1, 1], split at a."""
-    validate_kind(kind)
-    validate_theta(theta)
+    _validate_args(kind, theta, a)
     af = float(a)
 
     def integrand(x):

@@ -232,10 +232,11 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
     remaining starts are normal perturbations of it, the rest uniform draws,
     all from one seeded generator. Only converged starts count. If none
     converge, ``best_design`` and ``best_imspe`` are None and callers decide
-    how loudly to fail.
+    how loudly to fail. Bad n, d or theta count raise before any start.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 points and d >= 1 dimensions")
+    family.theta_for_dimension(d)
     rng = np.random.default_rng(config.seed)
     outcomes = []
     for start in _generate_starts(n, d, config.starts, rng):

@@ -207,11 +207,12 @@ class TestSearch:
         assert first == second
 
     def test_bad_dimension_exit_usage(self, capsys):
-        code, _, _ = run_cli(
-            ["search", "--family", "gaussian", "--theta", "1", "--n", "0"],
-            capsys,
-        )
-        assert code == 2
+        for bad in (
+            ["--theta", "1", "--n", "0"],
+            ["--theta", "1", "--theta", "2", "--d", "3", "--n", "2"],
+        ):
+            code, _, _ = run_cli(["search", "--family", "gaussian"] + bad, capsys)
+            assert code == 2
 
 
 class TestReproduceTables:

@@ -22,7 +22,7 @@ from imspe import (
     pair_integral,
     single_integral,
 )
-from imspe import criterion
+from imspe import criterion, integrals
 from imspe.criterion import _canonical_evaluation_points, sorted_rows
 
 THETAS = (0.1, 1.0, 10.0)
@@ -220,6 +220,27 @@ def test_wrong_theta_count_raises_at_sixteen_axes():
     pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(3, 16))
     with pytest.raises(InvalidHyperparameterError):
         imspe(fam, pts)
+
+
+def test_imspe_checks_its_design_once(monkeypatch):
+    designs, checks = [], []
+    init, validate = Design.__init__, integrals._validate_args
+
+    def counting_init(self, points):
+        designs.append(np.shape(points))
+        init(self, points)
+
+    def counting_validate(*args):
+        checks.append(args)
+        validate(*args)
+
+    monkeypatch.setattr(Design, "__init__", counting_init)
+    monkeypatch.setattr(integrals, "_validate_args", counting_validate)
+    fam = CovarianceFamily("matern32", [1.5, 0.5])
+    ev = imspe(fam, [[-0.5, 0.25], [0.0, -0.75], [0.6, 0.6]])
+    assert 0.0 < ev.value < 1.0
+    assert designs == [(3, 2)]
+    assert checks == []
 
 
 def test_monotone_information_gain():

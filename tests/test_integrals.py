@@ -18,6 +18,8 @@ from imspe import (
     FAMILY_KINDS,
     InvalidHyperparameterError,
     bessel_polynomial_coefficients,
+    integrate_pair,
+    integrate_single,
     pair_integral,
     single_integral,
 )
@@ -123,26 +125,28 @@ def test_vectorized_inputs_match_scalar_loop():
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_invalid_theta_and_out_of_box_anchor(kind):
-    with pytest.raises(InvalidHyperparameterError):
-        pair_integral(kind, 0.0, 0.1, 0.2)
-    with pytest.raises(InvalidHyperparameterError):
-        single_integral(kind, -2.0, 0.1)
-    with pytest.raises(ValueError):
-        pair_integral(kind, 1.0, 1.5, 0.0)
-    with pytest.raises(ValueError):
-        single_integral(kind, 1.0, -1.0001)
-    with pytest.raises(ValueError, match="finite"):
-        pair_integral(kind, 1.0, math.nan, 0.0)
-    with pytest.raises(ValueError, match="finite"):
-        single_integral(kind, 1.0, math.nan)
-    with pytest.raises(InvalidHyperparameterError):
-        pair_integral(kind, math.nan, 0.1, 0.2)
-    with pytest.raises(InvalidHyperparameterError):
-        single_integral(kind, math.nan, 0.1)
-    with pytest.raises(InvalidHyperparameterError, match="unknown covariance kind"):
-        pair_integral(kind + "x", 1.0, 0.1, 0.2)
-    with pytest.raises(InvalidHyperparameterError, match="unknown covariance kind"):
-        single_integral(kind + "x", 1.0, 0.1)
+    # the closed forms and the quadrature oracle check the same way
+    for pair, single in ((pair_integral, single_integral), (integrate_pair, integrate_single)):
+        with pytest.raises(InvalidHyperparameterError):
+            pair(kind, 0.0, 0.1, 0.2)
+        with pytest.raises(InvalidHyperparameterError):
+            single(kind, -2.0, 0.1)
+        with pytest.raises(ValueError):
+            pair(kind, 1.0, 1.5, 0.0)
+        with pytest.raises(ValueError):
+            single(kind, 1.0, -1.0001)
+        with pytest.raises(ValueError, match="finite"):
+            pair(kind, 1.0, math.nan, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            single(kind, 1.0, math.nan)
+        with pytest.raises(InvalidHyperparameterError):
+            pair(kind, math.nan, 0.1, 0.2)
+        with pytest.raises(InvalidHyperparameterError):
+            single(kind, math.nan, 0.1)
+        with pytest.raises(InvalidHyperparameterError, match="unknown covariance kind"):
+            pair(kind + "x", 1.0, 0.1, 0.2)
+        with pytest.raises(InvalidHyperparameterError, match="unknown covariance kind"):
+            single(kind + "x", 1.0, 0.1)
 
 
 class TestBesselCoefficients:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from imspe import search
 from imspe import (
     CovarianceFamily,
     Design,
+    InvalidHyperparameterError,
     SearchConfig,
     SingularDesignError,
     fd_gradient,
@@ -204,3 +206,16 @@ def test_config_validation():
         SearchConfig(optimality_tol=-1.0)
     with pytest.raises(ValueError):
         multistart_search(CovarianceFamily("gaussian", [1.0]), 0, 1)
+
+
+def test_multistart_checks_theta_count_before_drawing_starts(monkeypatch):
+    drawn = []
+
+    def no_starts(*args):
+        drawn.append(args)
+        return []
+
+    monkeypatch.setattr(search, "_generate_starts", no_starts)
+    with pytest.raises(InvalidHyperparameterError):
+        multistart_search(CovarianceFamily("gaussian", [1.0, 2.0]), 3, 3)
+    assert drawn == []

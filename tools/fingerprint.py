@@ -12,6 +12,12 @@ Hashed, in order:
 - ``imspe()`` on two designs per family, n in 1..19 and d in 1..6 (one
   uniform, one with tied and zero coordinates), at random anisotropic theta:
   the value in hex and the bytes of R, W and v, or the error raised;
+- on the same designs, in input order: the bytes of
+  ``build_correlation_matrix``, ``build_pair_matrix`` and
+  ``build_single_vector``, then the ``mspe_evaluator`` profile at seven
+  fixed abscissae (or the error raised);
+- one batch of 1000 anchors per family through ``pair_integral`` and
+  ``single_integral``, box edges and the centre included;
 - three ``multistart_search`` outcomes, two with d = 1 and one with d = 2:
   values in hex, design bytes, converged starts and iterations;
 - the ``imspe eval --diagnostics``, ``imspe search`` and
@@ -30,8 +36,14 @@ from imspe import (
     CovarianceFamily,
     ImspeError,
     SearchConfig,
+    build_correlation_matrix,
+    build_pair_matrix,
+    build_single_vector,
     imspe,
+    mspe_evaluator,
     multistart_search,
+    pair_integral,
+    single_integral,
 )
 from imspe.cli import main
 
@@ -47,16 +59,42 @@ def _designs(rng):
                 yield kind, theta, np.where(rng.random((n, d)) < 0.5, grid, jitter)
 
 
-def _evaluations(digest, rng):
-    for kind, theta, points in _designs(rng):
+def _update_error(digest, exc):
+    digest.update(f"{type(exc).__name__}: {exc}".encode())
+
+
+def _evaluations(digest, designs):
+    for kind, theta, points in designs:
         try:
             ev = imspe(CovarianceFamily(kind, theta), points)
         except ImspeError as exc:
-            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            _update_error(digest, exc)
             continue
         digest.update(ev.value.hex().encode())
         for array in (ev.R, ev.W, ev.v):
             digest.update(array.tobytes())
+
+
+def _assemblies(digest, designs):
+    for kind, theta, points in designs:
+        family = CovarianceFamily(kind, theta)
+        for build in (build_correlation_matrix, build_pair_matrix, build_single_vector):
+            digest.update(build(family, points).tobytes())
+        d = points.shape[1]
+        abscissae = np.cos(np.outer(np.arange(1, 8), np.arange(1, d + 1)))
+        try:
+            digest.update(mspe_evaluator(family, points)(abscissae).tobytes())
+        except ImspeError as exc:
+            _update_error(digest, exc)
+
+
+def _anchor_batches(digest, rng):
+    for kind in FAMILY_KINDS:
+        theta = float(np.round(rng.uniform(0.05, 20.0), 3))
+        a = np.concatenate(([-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, size=997)))
+        b = np.concatenate(([1.0, 0.0, -1.0], rng.uniform(-1.0, 1.0, size=997)))
+        digest.update(pair_integral(kind, theta, a, b).tobytes())
+        digest.update(single_integral(kind, theta, a).tobytes())
 
 
 def _searches(digest):
@@ -100,7 +138,10 @@ def _records(digest):
 
 def fingerprint():
     digest = hashlib.sha256()
-    _evaluations(digest, np.random.default_rng(20171))
+    designs = list(_designs(np.random.default_rng(20171)))
+    _evaluations(digest, designs)
+    _assemblies(digest, designs)
+    _anchor_batches(digest, np.random.default_rng(20172))
     _searches(digest)
     _records(digest)
     return digest.hexdigest()
