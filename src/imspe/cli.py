@@ -43,13 +43,22 @@ from .integrals import pair_integral, single_integral
 from .kernels import FAMILY_KINDS, CovarianceFamily, Design
 from .quadrature import integrate_pair, integrate_single
 from .reference import load_reference_cases
-from .search import SearchConfig, multistart_search
+from .search import DEFAULT_CONFIG, SearchConfig, multistart_search
 
 EXIT_OK = 0
 EXIT_REPRODUCE_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 EXIT_NO_CONVERGENCE = 4
+
+# (flag, SearchConfig field, help); each flag's default dest is its record key
+_SEARCH_OPTIONS = (
+    ("--seed", "seed", "multistart seed"),
+    ("--starts", "starts", "number of starts"),
+    ("--tol-opt", "optimality_tol", "projected-gradient infinity-norm convergence tolerance"),
+    ("--tol-feas", "feasibility_tol", "active-bound detection tolerance"),
+    ("--max-iterations", "max_iterations", "iteration cap per start"),
+)
 
 
 def _fmt(value):
@@ -179,14 +188,17 @@ def cmd_integral(args):
     return EXIT_OK
 
 
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
 def _search_config(args):
-    return SearchConfig(
-        starts=args.starts,
-        feasibility_tol=args.tol_feas,
-        optimality_tol=args.tol_opt,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-    )
+    fields = {field: getattr(args, _dest(flag)) for flag, field, _ in _SEARCH_OPTIONS}
+    return SearchConfig(**fields)
+
+
+def _search_inputs(config):
+    return {_dest(flag): getattr(config, field) for flag, field, _ in _SEARCH_OPTIONS}
 
 
 def cmd_search(args):
@@ -218,11 +230,7 @@ def cmd_search(args):
         "theta": list(family.theta),
         "n": args.n,
         "d": args.d,
-        "seed": config.seed,
-        "starts": config.starts,
-        "tol_opt": config.optimality_tol,
-        "tol_feas": config.feasibility_tol,
-        "max_iterations": config.max_iterations,
+        **_search_inputs(config),
     }
     _emit(_record("search", inputs, outputs, started), args)
     if result.best_design is None:
@@ -296,14 +304,7 @@ def cmd_reproduce_tables(args):
             )
         passed = sum(1 for row in rows if row["status"] == "PASS")
         print(f"overall: {'PASS' if all_ok else 'FAIL'} ({passed}/{len(rows)} rows)")
-    inputs = {
-        "table": str(args.table),
-        "seed": config.seed,
-        "starts": config.starts,
-        "tol_opt": config.optimality_tol,
-        "tol_feas": config.feasibility_tol,
-        "max_iterations": config.max_iterations,
-    }
+    inputs = {"table": str(args.table), **_search_inputs(config)}
     outputs = {"rows": rows, "overall": "PASS" if all_ok else "FAIL"}
     _emit(_record("reproduce-tables", inputs, outputs, started), args)
     return EXIT_OK if all_ok else EXIT_REPRODUCE_FAIL
@@ -319,18 +320,9 @@ def build_parser():
     )
 
     search_common = argparse.ArgumentParser(add_help=False)
-    search_common.add_argument("--seed", type=int, default=0, help="multistart seed")
-    search_common.add_argument("--starts", type=int, default=32, help="number of starts")
-    search_common.add_argument(
-        "--tol-opt", type=float, default=1e-9,
-        help="projected-gradient infinity-norm convergence tolerance",
-    )
-    search_common.add_argument(
-        "--tol-feas", type=float, default=1e-7, help="active-bound detection tolerance"
-    )
-    search_common.add_argument(
-        "--max-iterations", type=int, default=500, help="iteration cap per start"
-    )
+    for flag, field, help_text in _SEARCH_OPTIONS:
+        default = getattr(DEFAULT_CONFIG, field)
+        search_common.add_argument(flag, type=type(default), default=default, help=help_text)
 
     parser = argparse.ArgumentParser(
         prog="imspe",
@@ -390,7 +382,7 @@ def build_parser():
 
 _VALUE_FLAGS = (
     "--theta", "--points", "--a", "--b", "--n", "--d",
-    "--seed", "--starts", "--tol-opt", "--tol-feas", "--max-iterations",
+    *(flag for flag, _, _ in _SEARCH_OPTIONS),
 )
 
 

@@ -121,15 +121,14 @@ def build_single_vector(family, design):
 def _factor(R):
     """Cholesky factor of R, u = R^{-1} 1 and 1'u, or SingularDesignError.
 
-    Raises when R has no Cholesky factor (the error carries an infinite
-    condition estimate) or when 1'R^{-1}1 is not positive and finite.
+    Raises when R has no finite Cholesky factor or when 1'R^{-1}1 is not
+    positive and finite.
     """
     try:
         cho = cho_factor(R, lower=True)
     except LinAlgError as exc:
         raise SingularDesignError(
-            f"correlation matrix is not positive definite: {exc}",
-            condition_estimate=float("inf"),
+            f"correlation matrix is not positive definite: {exc}"
         ) from exc
     diag = np.diag(cho[0])
     if not np.all(np.isfinite(cho[0])) or np.any(diag <= 0.0):

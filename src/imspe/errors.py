@@ -16,13 +16,9 @@ class InvalidDesignError(ImspeError, ValueError):
 class SingularDesignError(ImspeError):
     """Raised when the design correlation matrix is not numerically positive definite.
 
-    Carries ``condition_estimate`` (may be ``inf``) so callers can report how
-    degenerate the design was.
+    That is: R has no Cholesky factor, its factor is not finite, or
+    1'R^{-1}1 is not positive. The message says which.
     """
-
-    def __init__(self, message, condition_estimate=float("inf")):
-        super().__init__(message)
-        self.condition_estimate = float(condition_estimate)
 
 
 class OracleDivergenceError(ImspeError):

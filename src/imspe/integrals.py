@@ -51,23 +51,6 @@ def bessel_polynomial_coefficients(degree):
     return tuple(cur)
 
 
-def _verify_bessel_brackets():
-    # brackets must equal reversed Bessel rows; wrong coefficients would
-    # silently corrupt every Matern integral, so refuse to import
-    for bracket, degree in (
-        (BESSEL_BRACKET_MATERN32, 3),
-        (BESSEL_BRACKET_MATERN52, 5),
-    ):
-        expected = tuple(reversed(bessel_polynomial_coefficients(degree)))
-        if bracket != expected:
-            raise AssertionError(
-                f"stationary bracket {bracket} does not match Bessel row {degree} {expected}"
-            )
-
-
-_verify_bessel_brackets()
-
-
 def symmetrize_plus(f, a, b):
     """Apply the joint sign-flip symmetrizer: f(a, b) + f(-a, -b).
 
@@ -80,12 +63,14 @@ def symmetrize_plus(f, a, b):
 
 
 def _validate_args(kind, theta, *coords):
+    """Check kind, theta and anchors; return the checked (theta, *coords) arrays."""
     validate_kind(kind)
-    validate_theta(theta)
-    for c in coords:
-        # NaN fails the comparison too
-        if not (np.abs(np.asarray(c, dtype=float)) <= 1.0).all():
-            raise ValueError("integral anchor points must be finite and lie in [-1, 1]")
+    theta = validate_theta(theta)
+    anchors = [np.asarray(c, dtype=float) for c in coords]
+    # NaN fails the comparison too
+    if not all((np.abs(arr) <= 1.0).all() for arr in anchors):
+        raise ValueError("integral anchor points must be finite and lie in [-1, 1]")
+    return (theta, *anchors)
 
 
 def _pair_exponential(theta, a, b):
@@ -96,14 +81,11 @@ def _pair_exponential(theta, a, b):
         ( (1 + theta delta) e^{-theta delta}
           - (1/2) (e^{-theta (2 + S)} + e^{-theta (2 - S)}) ) / (2 theta)
     """
-    th = np.asarray(theta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     delta = np.abs(b - a)
     ssum = a + b
-    stationary = (1.0 + th * delta) * np.exp(-th * delta)
-    boundary = 0.5 * (np.exp(-th * (2.0 + ssum)) + np.exp(-th * (2.0 - ssum)))
-    return (stationary - boundary) / (2.0 * th)
+    stationary = (1.0 + theta * delta) * np.exp(-theta * delta)
+    boundary = 0.5 * (np.exp(-theta * (2.0 + ssum)) + np.exp(-theta * (2.0 - ssum)))
+    return (stationary - boundary) / (2.0 * theta)
 
 
 def _pair_gaussian(theta, a, b):
@@ -115,12 +97,9 @@ def _pair_gaussian(theta, a, b):
         (1/4) sqrt(pi / (2 theta)) e^{-theta (a - b)^2 / 2}
             * ( erf(c (1 - m)) + erf(c (1 + m)) )
     """
-    th = np.asarray(theta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     m = 0.5 * (a + b)
-    c = np.sqrt(2.0 * th)
-    amp = 0.25 * np.sqrt(np.pi / (2.0 * th)) * np.exp(-0.5 * th * (a - b) ** 2)
+    c = np.sqrt(2.0 * theta)
+    amp = 0.25 * np.sqrt(np.pi / (2.0 * theta)) * np.exp(-0.5 * theta * (a - b) ** 2)
     return amp * (erf(c * (1.0 - m)) + erf(c * (1.0 + m)))
 
 
@@ -136,10 +115,7 @@ def _pair_matern32(theta, a, b):
     where J+ g(a, b) = g(a, b) + g(-a, -b). The stationary coefficients
     (15, 15, 6, 1) are the reversed degree-3 Bessel row.
     """
-    th = np.asarray(theta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    u = np.sqrt(3.0 * th)
+    u = np.sqrt(3.0 * theta)
     t = np.abs(b - a) * u
     c0, c1, c2, c3 = BESSEL_BRACKET_MATERN32
     stationary = 2.0 * (c0 + c1 * t + c2 * t * t + c3 * t**3) * np.exp(-t)
@@ -167,10 +143,7 @@ def _pair_matern52(theta, a, b):
         P(a, b) = 945 + 675 (2 + S) s + 30 (27 + 27 S + 5 S^2 + 7 G) s^2
                   + 120 (1 + S + G) (2 + S) s^3 + 30 (1 + S + G)^2 s^4.
     """
-    th = np.asarray(theta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s = np.sqrt(5.0 * th)
+    s = np.sqrt(5.0 * theta)
     t = np.abs(b - a) * s
     c0, c1, c2, c3, c4, c5 = BESSEL_BRACKET_MATERN52
     stationary = (
@@ -212,28 +185,22 @@ def pair_integral(kind, theta, a, b):
     a, b : float or ndarray in [-1, 1]
         Anchor points; arrays broadcast against each other.
     """
-    _validate_args(kind, theta, a, b)
+    theta, a, b = _validate_args(kind, theta, a, b)
     return _PAIR[kind](theta, a, b)
 
 
 def _single_exponential(theta, a):
-    th = np.asarray(theta, dtype=float)
-    a = np.asarray(a, dtype=float)
     # summing the boundary terms before subtracting keeps a -> -a bit-exact
-    return (2.0 - (np.exp(-th * (1.0 + a)) + np.exp(-th * (1.0 - a)))) / (2.0 * th)
+    return (2.0 - (np.exp(-theta * (1.0 + a)) + np.exp(-theta * (1.0 - a)))) / (2.0 * theta)
 
 
 def _single_gaussian(theta, a):
-    th = np.asarray(theta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    r = np.sqrt(th)
-    return 0.25 * np.sqrt(np.pi / th) * (erf(r * (1.0 - a)) + erf(r * (1.0 + a)))
+    r = np.sqrt(theta)
+    return 0.25 * np.sqrt(np.pi / theta) * (erf(r * (1.0 - a)) + erf(r * (1.0 + a)))
 
 
 def _single_matern32(theta, a):
-    th = np.asarray(theta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    u = np.sqrt(3.0 * th)
+    u = np.sqrt(3.0 * theta)
 
     def half(T):
         # int_0^T (1 + u h) e^{-u h} dh = 2/u - (2/u + T) e^{-u T}
@@ -243,9 +210,7 @@ def _single_matern32(theta, a):
 
 
 def _single_matern52(theta, a):
-    th = np.asarray(theta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    s = np.sqrt(5.0 * th)
+    s = np.sqrt(5.0 * theta)
 
     def half(T):
         # int_0^T (1 + s h + s^2 h^2 / 3) e^{-s h} dh
@@ -274,7 +239,7 @@ def single_integral(kind, theta, a):
     a : float or ndarray in [-1, 1]
         Anchor point.
     """
-    _validate_args(kind, theta, a)
+    theta, a = _validate_args(kind, theta, a)
     return _SINGLE[kind](theta, a)
 
 

@@ -167,17 +167,16 @@ def as_design(design):
 def correlation(family, x, y):
     """Product correlation between two points under ``family``.
 
-    Accepts points slightly outside the unit box so quadrature abscissae can
-    be evaluated without ceremony. Returns a float in (0, 1], equal to 1.0
+    The one entry of ``cross_correlation`` for the two points. Accepts
+    points slightly outside the unit box so quadrature abscissae can be
+    evaluated without ceremony. Returns a float in (0, 1], equal to 1.0
     exactly when x == y coordinatewise.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     if xa.shape != ya.shape or xa.ndim != 1:
         raise InvalidDesignError("x and y must be coordinate vectors of equal length")
-    th = family.theta_for_dimension(xa.size)
-    vals = _RHO[family.kind](th, np.abs(xa - ya))
-    return float(np.prod(vals))
+    return float(cross_correlation(family, xa[None, :], ya[None, :])[0, 0])
 
 
 def cross_correlation(family, points, other):

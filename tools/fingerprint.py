@@ -14,10 +14,14 @@ Hashed, in order:
   the value in hex and the bytes of R, W and v, or the error raised;
 - on the same designs, in input order: the bytes of
   ``build_correlation_matrix``, ``build_pair_matrix`` and
-  ``build_single_vector``, then the ``mspe_evaluator`` profile at seven
-  fixed abscissae (or the error raised);
+  ``build_single_vector``, ``correlation`` in hex on every pair of rows,
+  then the ``mspe_evaluator`` profile at seven fixed abscissae (or the
+  error raised);
 - one batch of 1000 anchors per family through ``pair_integral`` and
   ``single_integral``, box edges and the centre included;
+- 48 quadrature-oracle values in hex, six ``integrate_pair`` and six
+  ``integrate_single`` per family at theta in [0.1, 10], and
+  ``integrate_mspe`` on ten d = 1 designs (or the error raised);
 - three ``multistart_search`` outcomes, two with d = 1 and one with d = 2:
   values in hex, design bytes, converged starts and iterations;
 - the ``imspe eval --diagnostics``, ``imspe search`` and
@@ -39,7 +43,11 @@ from imspe import (
     build_correlation_matrix,
     build_pair_matrix,
     build_single_vector,
+    correlation,
     imspe,
+    integrate_mspe,
+    integrate_pair,
+    integrate_single,
     mspe_evaluator,
     multistart_search,
     pair_integral,
@@ -80,6 +88,9 @@ def _assemblies(digest, designs):
         family = CovarianceFamily(kind, theta)
         for build in (build_correlation_matrix, build_pair_matrix, build_single_vector):
             digest.update(build(family, points).tobytes())
+        for x in points:
+            for y in points:
+                digest.update(correlation(family, x, y).hex().encode())
         d = points.shape[1]
         abscissae = np.cos(np.outer(np.arange(1, 8), np.arange(1, d + 1)))
         try:
@@ -95,6 +106,24 @@ def _anchor_batches(digest, rng):
         b = np.concatenate(([1.0, 0.0, -1.0], rng.uniform(-1.0, 1.0, size=997)))
         digest.update(pair_integral(kind, theta, a, b).tobytes())
         digest.update(single_integral(kind, theta, a).tobytes())
+
+
+def _oracles(digest, rng):
+    for kind in FAMILY_KINDS:
+        for _ in range(6):
+            theta = float(rng.uniform(0.1, 10.0))
+            a, b = rng.uniform(-1.0, 1.0, size=2)
+            digest.update(integrate_pair(kind, theta, a, b).hex().encode())
+            digest.update(integrate_single(kind, theta, a).hex().encode())
+    for i in range(10):
+        kind = FAMILY_KINDS[i % len(FAMILY_KINDS)]
+        family = CovarianceFamily(kind, [float(rng.uniform(0.1, 10.0))])
+        try:
+            value = integrate_mspe(family, rng.uniform(-1.0, 1.0, size=i + 1))
+        except ImspeError as exc:
+            _update_error(digest, exc)
+            continue
+        digest.update(value.hex().encode())
 
 
 def _searches(digest):
@@ -142,6 +171,7 @@ def fingerprint():
     _evaluations(digest, designs)
     _assemblies(digest, designs)
     _anchor_batches(digest, np.random.default_rng(20172))
+    _oracles(digest, np.random.default_rng(20173))
     _searches(digest)
     _records(digest)
     return digest.hexdigest()
