@@ -13,8 +13,9 @@ average of row i (tensor products over dimensions),
 
     imspe = 1 - tr(R^{-1} W) + (1 - 2 u'v + u'Wu) / (u'1),   u = R^{-1} 1.
 
-Everything goes through a Cholesky factorization of R; an explicit inverse
-is never formed.
+Everything goes through one Cholesky factorization of R. The value uses
+solves only; the search's exact gradient (``_value_and_gradient``) also
+forms R^{-1} from that factor, as ``cho_solve(cho, I)``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import SingularDesignError
 # pair_integral and single_integral are re-exported: bench/spans.py traces them here
-from .integrals import _PAIR, _SINGLE, pair_integral, single_integral  # noqa: F401
-from .kernels import as_design, cross_correlation
+from .integrals import _DPAIR, _PAIR, _SINGLE, _dsingle, pair_integral, single_integral  # noqa: F401
+from .kernels import _DRHO, _RHO, as_design, cross_correlation
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +55,21 @@ class ImspeEvaluation:
 
 def sorted_rows(points):
     """Rows of an (n, d) array in lexicographic order, first column most significant."""
-    return points[np.lexsort(points.T[::-1])]
+    return points.take(np.lexsort(points.T[::-1]), axis=0)
 
 
-def _canonical_evaluation_points(points):
+def _mirrors_itself(variant):
+    # negating every axis reverses the lexicographic row order, so a sorted
+    # point set is centrally symmetric iff it equals its negated reverse
+    rows = variant.tolist()
+    return rows == [[-x for x in row] for row in reversed(rows)]
+
+
+def _canonical_form(points):
+    """Canonical points of an (n, d) array and the per-axis signs s behind them.
+
+    The canonical points are ``sorted_rows(points * s)``.
+    """
     # evaluating one representative per orbit under row permutation and
     # per-axis reflection makes both invariances exact (sign flips and row
     # moves are exact on binary64): the smallest flattened
@@ -63,29 +77,47 @@ def _canonical_evaluation_points(points):
     # mask (bit k set when axis k is negated). It grows row by row: the next
     # row is the smallest any unplaced row can become (-|x| on an axis whose
     # sign is free, +1 until fixed) and fixes its nonzero axes; tied rows
-    # branch, and branches whose signed points agree (0.0 == -0.0) merge
+    # branch, and branches whose signed points agree (0.0 == -0.0) merge. A
+    # tied branch that flips every axis of a centrally symmetric one would
+    # merge with it, so it is dropped before its sort
     n, d = points.shape
+    coords = points.tolist()
     neg = -np.abs(points)
     free = [True] * d
     branches = [([1.0] * d, list(range(n)), neg.tolist())]
     while True:
         head = min(min(rows) for _, _, rows in branches)
         grown = [
-            ([-1.0 if f and x > 0.0 else v for v, f, x in zip(s, free, points[i])], rest, i)
+            ([-1.0 if f and x > 0.0 else v for v, f, x in zip(s, free, coords[i])], rest, i)
             for s, rest, rows in branches for i, row in zip(rest, rows) if row == head
         ]
-        grown.sort(key=lambda branch: [v < 0.0 for v in reversed(branch[0])])
-        merged = {}
-        for s, rest, i in grown:
-            variant = sorted_rows(points * s)
-            merged.setdefault((variant + 0.0).tobytes(), (variant, s, [j for j in rest if j != i]))
+        if len(grown) == 1:
+            s, rest, i = grown[0]
+            merged = [(sorted_rows(points * s), s, rest, i)]
+        else:
+            grown.sort(key=lambda branch: [v < 0.0 for v in reversed(branch[0])])
+            keyed, mirrored = {}, set()
+            for s, rest, i in grown:
+                if tuple(s) in mirrored:
+                    continue
+                variant = sorted_rows(points * s)
+                keyed.setdefault((variant + 0.0).tobytes(), (variant, s, rest, i))
+                if _mirrors_itself(variant):
+                    mirrored.add(tuple(-v for v in s))
+            merged = list(keyed.values())
         free = [f and x == 0.0 for f, x in zip(free, head)]
         if not any(free) or not points[:, free].any():
-            return min([entry[0] for entry in merged.values()], key=lambda v: v.ravel().tolist())
-        branches = [
-            (s, rest, np.where(free, neg[rest], points[rest] * s).tolist())
-            for _, s, rest in merged.values()
-        ]
+            if len(merged) == 1:
+                return merged[0][:2]
+            return min(merged, key=lambda entry: entry[0].ravel().tolist())[:2]
+        branches = []
+        for _, s, rest, i in merged:
+            rest = [j for j in rest if j != i]
+            branches.append((s, rest, np.where(free, neg[rest], points[rest] * s).tolist()))
+
+
+def _canonical_evaluation_points(points):
+    return _canonical_form(points)[0]
 
 
 def build_correlation_matrix(family, design):
@@ -174,13 +206,102 @@ def imspe(family, design):
     points = _canonical_evaluation_points(as_design(design).points)
     R = cross_correlation(family, points, points)
     W, v = _averages(family, points)
-    cho, u, denom = _factor(R)
-    trace = float(np.trace(cho_solve(cho, W)))
-    lin = float(u @ v)
-    quad = float(u @ W @ u)
-    # exact summation keeps the n = 1 identity value == 2 - 2 v[0] bit-exact
-    value = math.fsum((1.0, -trace, 1.0 / denom, -2.0 * lin / denom, quad / denom))
+    value = _value(*_factor(R), W, v)[0]
     return ImspeEvaluation(value=value, R=R, W=W, v=v)
+
+
+def _value(cho, u, denom, W, v):
+    """The criterion from ``_factor(R)``, W and v, with its five terms, R^{-1} W and u'W."""
+    RiW = cho_solve(cho, W)
+    uW = u @ W
+    lin = float(u @ v)
+    quad = float(uW @ u)
+    terms = (1.0, -float(np.trace(RiW)), 1.0 / denom, -2.0 * lin / denom, quad / denom)
+    # exact summation keeps the n = 1 identity value == 2 - 2 v[0] bit-exact
+    return math.fsum(terms), terms, RiW, uW
+
+
+def _leave_one_out(factors):
+    """For each k the product of all factors but the k-th, and the product of all.
+
+    Products run in axis order from ones, as the assembly's loops do, so
+    the full product has the bits of R, W or v in ``imspe()``.
+    """
+    d = len(factors)
+    suffix = [np.ones_like(factors[0])] * (d + 1)
+    for k in range(d - 1, 0, -1):
+        suffix[k] = suffix[k + 1] * factors[k]
+    out, prefix = [], np.ones_like(factors[0])
+    for k in range(d):
+        out.append(prefix * suffix[k + 1])
+        prefix = prefix * factors[k]
+    return out, prefix
+
+
+def _value_and_gradient(family, points):
+    """Criterion of checked (n, d) points, its gradient and its rounding unit.
+
+    The value is ``imspe(family, points).value`` bit for bit: the same
+    canonical points, R, W, v, factor and exact sum. The rounding unit is
+    machine epsilon times the sum of the magnitudes of the value's five
+    terms: the value is a small difference of terms near 1, so it is
+    rounded on their scale, not on its own. The gradient, shaped like
+    ``points``, comes from one factor of R as the adjoint of the assembly. With u = R^{-1} 1,
+    c = 1'u, N = 1 - 2 u'v + u'Wu and z = R^{-1} (W u - v):
+
+        df/dW = uu'/c - R^{-1}
+        df/dv = -2 u / c
+        df/dR = R^{-1} W R^{-1} - (z u' + u z') / c + N uu' / c^2
+
+    Coordinate x_ik enters row and column i of R and W and entry i of v,
+    each through its axis-k factor, so the chain rule contracts each axis
+    over rows against the product of the other axes' factors, in O(n^2 d).
+    A tied coordinate takes sign(0) = 0 in R, the mean of the one-sided
+    slopes of the exponential kernel. Rows and signs are mapped back through
+    the canonicalization. Raises SingularDesignError like ``imspe()``.
+    """
+    canonical, signs = _canonical_form(points)
+    n, d = canonical.shape
+    th = family.theta_for_dimension(d)
+    kind = family.kind
+    rho, pair, single = _RHO[kind], _PAIR[kind], _SINGLE[kind]
+    R_axes, W_axes, v_axes, slopes = [], [], [], []
+    for k in range(d):
+        col = canonical[:, k]
+        gap = col[:, None] - col[None, :]
+        # the same calls, in the same order, as cross_correlation and _averages
+        R_axes.append(rho(th[k], np.abs(gap)))
+        W_axes.append(pair(th[k], col[:, None], col[None, :]))
+        v_axes.append(single(th[k], col))
+        slopes.append((
+            _DRHO[kind](th[k], np.abs(gap)) * np.sign(gap),
+            _DPAIR[kind](th[k], col[:, None], col[None, :]),
+            _dsingle(kind, th[k], col),
+        ))
+    R_rest, R = _leave_one_out(R_axes)
+    W_rest, W = _leave_one_out(W_axes)
+    v_rest, v = _leave_one_out(v_axes)
+    cho, u, denom = _factor(R)
+    value, terms, RiW, uW = _value(cho, u, denom, W, v)
+
+    # the value above used solves only; the adjoint needs R^{-1} itself
+    Rinv = cho_solve(cho, np.eye(n), check_finite=False)
+    uu = np.outer(u, u) / denom
+    numerator = 1.0 - 2.0 * float(u @ v) + float(uW @ u)
+    z = Rinv @ (uW - v)
+    dW = uu - Rinv
+    dv = -2.0 * u / denom
+    RiWRi = cho_solve(cho, RiW.T, check_finite=False)
+    dR = RiWRi - (np.outer(z, u) + np.outer(u, z)) / denom + numerator * uu / denom
+    grad = np.empty((n, d))
+    for k, (sR, sW, sv) in enumerate(slopes):
+        # R and W are symmetric, so row i and column i contribute alike
+        rows = (dR * sR * R_rest[k]).sum(axis=1) + (dW * sW * W_rest[k]).sum(axis=1)
+        grad[:, k] = 2.0 * rows + dv * sv * v_rest[k]
+    flipped = points * signs
+    out = np.empty_like(grad)
+    out[np.lexsort(flipped.T[::-1])] = grad * signs
+    return value, out, _EPS * math.fsum(abs(t) for t in terms)
 
 
 def imspe_value(family, design):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .kernels import validate_kind, validate_theta
+from .kernels import _RHO, validate_kind, validate_theta
 
 # Stationary-bracket coefficients, highest-order Bessel rows first entry:
 # reversed rows n = 3 and n = 5 of the Bessel polynomial triangle.
@@ -173,6 +173,88 @@ _PAIR = {
 }
 
 
+# d/da of the pair averages: the gradient of the criterion in a design
+# coordinate. The exponential and Matern stationary parts differentiate to
+# (a - b) times the next lower reversed Bessel row, so no |b - a| kink
+# survives; the boundary parts are written in p = 1 + a, q = 1 + b and
+# mirrored through (a, b) -> (-a, -b)
+def _dpair_exponential(theta, a, b):
+    """d/da of the exponential pair average, with S = a + b:
+
+        -(theta / 2) (a - b) e^{-theta |b - a|}
+            + (e^{-theta (2 + S)} - e^{-theta (2 - S)}) / 4
+    """
+    ssum = a + b
+    stationary = -0.5 * theta * (a - b) * np.exp(-theta * np.abs(b - a))
+    return stationary + 0.25 * (np.exp(-theta * (2.0 + ssum)) - np.exp(-theta * (2.0 - ssum)))
+
+
+def _dpair_gaussian(theta, a, b):
+    """d/da of the gaussian pair average P(a, b):
+
+        -theta (a - b) P(a, b)
+            + (e^{-theta ((1 + a)^2 + (1 + b)^2)} - e^{-theta ((1 - a)^2 + (1 - b)^2)}) / 4
+    """
+    def boundary(p, q):
+        return np.exp(-theta * (p * p + q * q))
+
+    edges = boundary(1.0 + a, 1.0 + b) - boundary(1.0 - a, 1.0 - b)
+    return -theta * (a - b) * _pair_gaussian(theta, a, b) + 0.25 * edges
+
+
+def _dpair_matern32(theta, a, b):
+    """d/da of the nu = 3/2 Matern pair average, with u = sqrt(3 theta), t = |b - a| u:
+
+        ( -2 u (a - b) (3 + 3 t + t^2) e^{-t} + 3 (A(1 + a, 1 + b) - A(1 - a, 1 - b)) ) / 24
+
+    where A(p, q) = (2 + (3 p + q) u + 2 p q u^2) e^{-u (p + q)}.
+    """
+    u = np.sqrt(3.0 * theta)
+    t = np.abs(b - a) * u
+    stationary = -2.0 * u * (a - b) * (3.0 + 3.0 * t + t * t) * np.exp(-t)
+
+    def boundary(p, q):
+        return (2.0 + (3.0 * p + q) * u + 2.0 * p * q * u * u) * np.exp(-u * (p + q))
+
+    return (stationary + 3.0 * (boundary(1.0 + a, 1.0 + b) - boundary(1.0 - a, 1.0 - b))) / 24.0
+
+
+def _dpair_matern52(theta, a, b):
+    """d/da of the nu = 5/2 Matern pair average, with s = sqrt(5 theta), t = |b - a| s:
+
+        ( -2 s (a - b) (105 + 105 t + 45 t^2 + 10 t^3 + t^4) e^{-t}
+          + A(1 + a, 1 + b) - A(1 - a, 1 - b) ) / 1080
+
+    where A(p, q) e^{s (p + q)} = 270 + (375 p + 165 q) s + 30 (5 p^2 + 9 p q + q^2) s^2
+                                  + 60 p q (2 p + q) s^3 + 30 p^2 q^2 s^4.
+    """
+    s = np.sqrt(5.0 * theta)
+    t = np.abs(b - a) * s
+    bracket = 105.0 + 105.0 * t + 45.0 * t**2 + 10.0 * t**3 + t**4
+    stationary = -2.0 * s * (a - b) * bracket * np.exp(-t)
+
+    def boundary(p, q):
+        pq = p * q
+        poly = (
+            270.0
+            + (375.0 * p + 165.0 * q) * s
+            + 30.0 * (5.0 * p * p + 9.0 * pq + q * q) * s**2
+            + 60.0 * pq * (2.0 * p + q) * s**3
+            + 30.0 * pq * pq * s**4
+        )
+        return poly * np.exp(-s * (p + q))
+
+    return (stationary + boundary(1.0 + a, 1.0 + b) - boundary(1.0 - a, 1.0 - b)) / 1080.0
+
+
+_DPAIR = {
+    "exponential": _dpair_exponential,
+    "gaussian": _dpair_gaussian,
+    "matern32": _dpair_matern32,
+    "matern52": _dpair_matern52,
+}
+
+
 def pair_integral(kind, theta, a, b):
     """Closed-form pair average (1/2) * int_{-1}^{1} rho(|a - x|) rho(|b - x|) dx.
 
@@ -225,6 +307,12 @@ _SINGLE = {
     "matern32": _single_matern32,
     "matern52": _single_matern52,
 }
+
+
+def _dsingle(kind, theta, a):
+    """d/da of the single average, the same for every family: (rho(1 + a) - rho(1 - a)) / 2."""
+    rho = _RHO[kind]
+    return 0.5 * (rho(theta, 1.0 + a) - rho(theta, 1.0 - a))
 
 
 def single_integral(kind, theta, a):

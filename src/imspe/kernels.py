@@ -50,6 +50,33 @@ _RHO = {
 }
 
 
+# derivatives rho'(h) for h >= 0, the slopes the criterion's gradient needs
+def _drho_exponential(theta, h):
+    return -theta * np.exp(-theta * h)
+
+
+def _drho_gaussian(theta, h):
+    return -2.0 * theta * h * np.exp(-theta * h * h)
+
+
+def _drho_matern32(theta, h):
+    u = np.sqrt(3.0 * theta)
+    return -u * u * h * np.exp(-u * h)
+
+
+def _drho_matern52(theta, h):
+    s = np.sqrt(5.0 * theta)
+    return -(s * s * h / 3.0) * (1.0 + s * h) * np.exp(-s * h)
+
+
+_DRHO = {
+    "exponential": _drho_exponential,
+    "gaussian": _drho_gaussian,
+    "matern32": _drho_matern32,
+    "matern52": _drho_matern52,
+}
+
+
 def validate_kind(kind):
     if kind not in _RHO:
         raise InvalidHyperparameterError(

@@ -1,11 +1,13 @@
 """Multistart projected-BFGS minimization of the design criterion over the unit box.
 
 Coordinates live in [-1, 1]; the only constraints are the box bounds, so
-projection is a clip. Gradients are finite differences of the closed-form
-criterion. A start converges when the projected gradient (gradient with
-outward components zeroed on active bounds) has infinity norm at or below
-the optimality tolerance. Converged optima are deduplicated by clustering
-canonically sorted designs.
+projection is a clip. The descent takes the exact gradient of the criterion
+from the same assembly and Cholesky factor as its value (the adjoint in
+``criterion._value_and_gradient``); ``fd_gradient`` stays as the finite-
+difference oracle the tests check it against. A start converges when the
+projected gradient (gradient with outward components zeroed on active
+bounds) has infinity norm at or below the optimality tolerance. Converged
+optima are deduplicated by clustering canonically sorted designs.
 
 Everything is deterministic for a given seed: starting designs come from a
 seeded generator and the descent itself contains no randomness, so repeated
@@ -20,11 +22,21 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .criterion import imspe, sorted_rows
+# imspe, as_design, fd_gradient and local_search are looked up as attributes
+# of this module, where bench/spans.py installs its tracing wrappers
+from .criterion import _value_and_gradient, imspe, sorted_rows
 from .errors import SingularDesignError
 from .kernels import Design, as_design
 
 _ARMIJO = 1e-4
+# approximate Wolfe conditions (Hager & Zhang, SIAM J. Optim. 16(1), 2005):
+# sigma g's <= g_new's <= (2 delta - 1) g's
+_WOLFE_SIGMA = 0.9
+_WOLFE_DELTA = 0.1
+# criterion differences within this many rounding units (machine epsilon on
+# the scale of the criterion's terms, see criterion._value_and_gradient)
+# are rounding
+_ROUNDING_UNITS = 4
 _LINESEARCH_CAP = 60
 _CURVATURE_FLOOR = 1e-12
 _FD_STEP = 1e-6
@@ -55,23 +67,39 @@ class SearchConfig:
 DEFAULT_CONFIG = SearchConfig()
 
 
+STOP_REASONS = ("grad_tol", "linesearch_stall", "max_iterations", "nonfinite_gradient")
+
+
 class LocalSearchResult(NamedTuple):
+    """One descent's end point; ``stop_reason`` is one of ``STOP_REASONS``.
+
+    Only ``grad_tol`` is converged. ``linesearch_stall`` means that even a
+    steepest-descent step could not be accepted: f cannot resolve it and
+    the gradient along it does not meet the approximate Wolfe conditions.
+    """
+
     design: Design
     value: float
     converged: bool
     iterations: int
     grad_norm: float
+    stop_reason: str
 
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Multistart outcome; ``local_minima`` holds one (design, value) per cluster, best first."""
+    """Multistart outcome; ``local_minima`` holds one (design, value) per cluster, best first.
+
+    ``outcomes`` holds the LocalSearchResult of every start, in start order;
+    a start whose correlation matrix is singular has none.
+    """
 
     best_design: Optional[Design]
     best_imspe: Optional[float]
     starts_converged: int
     local_minima: tuple
     iterations_total: int
+    outcomes: tuple = ()
 
 
 def _objective(family, flat, shape):
@@ -84,9 +112,10 @@ def _objective(family, flat, shape):
 def fd_gradient(family, design):
     """Finite-difference gradient of the criterion in every coordinate.
 
-    Central differences with step 1e-6 in the interior; second-order
-    one-sided stencils when a coordinate sits within one step of its bound,
-    so evaluation never leaves the box. Returns a flat gradient, point-major.
+    The oracle the tests hold the search's exact gradient to. Central
+    differences with step 1e-6 in the interior; second-order one-sided
+    stencils when a coordinate sits within one step of its bound, so
+    evaluation never leaves the box. Returns a flat gradient, point-major.
     """
     dsn = as_design(design)
     shape = dsn.points.shape
@@ -133,29 +162,32 @@ def local_search(family, start, config=DEFAULT_CONFIG):
     """Projected-BFGS descent from one starting design.
 
     Returns a LocalSearchResult; ``converged`` means the projected-gradient
-    infinity norm reached ``config.optimality_tol``. Iterates that make the
-    correlation matrix singular price as +inf, so the Armijo backtracking
-    shrinks past them instead of crashing.
+    infinity norm reached ``config.optimality_tol``. Each trial step costs
+    one criterion value, and the gradient is computed only at the accepted
+    point. A step passes on Armijo sufficient decrease; where f changes by
+    no more than its rounding (a few epsilon on the scale of the terms it is
+    summed from), it passes on the approximate Wolfe conditions instead, and
+    halving stops once the predicted change g's falls below that rounding. Iterates that make the correlation matrix singular price
+    as +inf, so the backtracking shrinks past them instead of crashing.
     """
     dsn = as_design(start)
     shape = dsn.points.shape
     x = np.clip(dsn.points.ravel(), -1.0, 1.0)
-    f = _objective(family, x, shape)
-    if not math.isfinite(f):
-        raise SingularDesignError("starting design has a singular correlation matrix")
-    g = fd_gradient(family, x.reshape(shape))
+    try:
+        f, g, unit = _evaluate(family, x, shape)
+    except SingularDesignError as exc:
+        raise SingularDesignError("starting design has a singular correlation matrix") from exc
     if not np.all(np.isfinite(g)):
-        # a singular configuration one step away poisons the stencil
-        return LocalSearchResult(Design(x.reshape(shape)), f, False, 0, math.inf)
+        return LocalSearchResult(Design(x.reshape(shape)), f, False, 0, math.inf, "nonfinite_gradient")
     H = np.eye(x.size)
     h_is_identity = True
     iterations = 0
-    converged = False
+    stop = "max_iterations"
 
     for _ in range(config.max_iterations):
         pg = projected_gradient(x, g, config.feasibility_tol)
         if np.max(np.abs(pg)) <= config.optimality_tol:
-            converged = True
+            stop = "grad_tol"
             break
         iterations += 1
 
@@ -166,32 +198,20 @@ def local_search(family, start, config=DEFAULT_CONFIG):
             h_is_identity = True
             direction = -pg
 
-        step_scale = 1.0
-        accepted = False
-        x_new = x
-        f_new = f
-        for _ls in range(_LINESEARCH_CAP):
-            candidate = np.clip(x + step_scale * direction, -1.0, 1.0)
-            step = candidate - x
-            if not np.any(step):
-                break
-            f_cand = _objective(family, candidate, shape)
-            if f_cand <= f + _ARMIJO * float(g @ step):
-                x_new, f_new, accepted = candidate, f_cand, True
-                break
-            step_scale *= 0.5
-        if not accepted:
+        accepted = _line_search(family, shape, x, f, g, _ROUNDING_UNITS * unit, direction)
+        if accepted is None:
             if h_is_identity:
+                stop = "linesearch_stall"
                 break
             # stale quasi-Newton model; retry this iterate from steepest descent
             H = np.eye(x.size)
             h_is_identity = True
             continue
-
-        g_new = fd_gradient(family, x_new.reshape(shape))
+        x_new, f_new, slopes = accepted
+        g_new, unit_new = _evaluate(family, x_new, shape)[1:] if slopes is None else slopes
         if not np.all(np.isfinite(g_new)):
             return LocalSearchResult(
-                Design(x_new.reshape(shape)), f_new, False, iterations, math.inf
+                Design(x_new.reshape(shape)), f_new, False, iterations, math.inf, "nonfinite_gradient"
             )
         s = x_new - x
         y = g_new - g
@@ -206,12 +226,49 @@ def local_search(family, start, config=DEFAULT_CONFIG):
                 + (rho_inv * rho_inv * yHy + rho_inv) * np.outer(s, s)
             )
             h_is_identity = False
-        x, f, g = x_new, f_new, g_new
+        x, f, g, unit = x_new, f_new, g_new, unit_new
 
-    pg = projected_gradient(x, g, config.feasibility_tol)
-    grad_norm = float(np.max(np.abs(pg)))
-    converged = converged or grad_norm <= config.optimality_tol
-    return LocalSearchResult(Design(x.reshape(shape)), f, converged, iterations, grad_norm)
+    grad_norm = float(np.max(np.abs(projected_gradient(x, g, config.feasibility_tol))))
+    if grad_norm <= config.optimality_tol:
+        stop = "grad_tol"
+    return LocalSearchResult(
+        Design(x.reshape(shape)), f, stop == "grad_tol", iterations, grad_norm, stop
+    )
+
+
+def _evaluate(family, flat, shape):
+    """Value, flat gradient and rounding unit of the criterion at a flat iterate."""
+    value, grad, unit = _value_and_gradient(family, flat.reshape(shape))
+    return value, grad.ravel(), unit
+
+
+def _line_search(family, shape, x, f, g, rounding, direction):
+    """Backtrack along ``direction`` from x, where f is rounded at ``rounding``.
+
+    Returns (x_new, f_new, None) on Armijo decrease, (x_new, f_new,
+    (g_new, unit_new)) on the approximate Wolfe conditions, whose test
+    computed the gradient already, or None on a stall.
+    """
+    step_scale = 1.0
+    for _ in range(_LINESEARCH_CAP):
+        candidate = np.clip(x + step_scale * direction, -1.0, 1.0)
+        step = candidate - x
+        if not np.any(step):
+            return None
+        slope = float(g @ step)
+        f_cand = _objective(family, candidate, shape)
+        if f_cand <= f + _ARMIJO * slope:
+            return candidate, f_cand, None
+        if abs(f_cand - f) <= rounding:
+            _, g_cand, unit_cand = _evaluate(family, candidate, shape)
+            slope_cand = float(g_cand @ step)
+            if _WOLFE_SIGMA * slope <= slope_cand <= (2.0 * _WOLFE_DELTA - 1.0) * slope:
+                return candidate, f_cand, (g_cand, unit_cand)
+        if abs(slope) <= rounding:
+            # a shorter step would change f by less than it can resolve
+            return None
+        step_scale *= 0.5
+    return None
 
 
 def _generate_starts(n, d, count, rng):
@@ -247,7 +304,7 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
     iterations_total = sum(o.iterations for o in outcomes)
     converged = [o for o in outcomes if o.converged]
     if not converged:
-        return SearchResult(None, None, 0, (), iterations_total)
+        return SearchResult(None, None, 0, (), iterations_total, tuple(outcomes))
 
     # value and gradient ties happen where the criterion is flat to the last
     # ulp; within such a plateau every member is numerically equivalent, so
@@ -274,6 +331,7 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
         starts_converged=len(converged),
         local_minima=minima,
         iterations_total=iterations_total,
+        outcomes=tuple(outcomes),
     )
 
 
@@ -281,6 +339,7 @@ __all__ = [
     "SearchConfig",
     "DEFAULT_CONFIG",
     "LocalSearchResult",
+    "STOP_REASONS",
     "SearchResult",
     "fd_gradient",
     "projected_gradient",

@@ -11,6 +11,10 @@ margins (visible with -s, and in captured output on failure). Criteria:
 6. stationary-bracket coefficients equal the reversed Bessel rows
 7. finite-difference gradients vs Richardson references; stationarity at the
    reproduced two-point optima
+
+Beside criterion 7, three checks of the exact gradient the search uses: the
+adjoint against Richardson references in d = 1-3, and the closed-form
+pair-average slopes against sympy and against quadrature.
 """
 
 import json
@@ -20,6 +24,7 @@ import time
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from imspe import (
     CovarianceFamily,
@@ -29,12 +34,17 @@ from imspe import (
     pair_integral,
     symmetrize_plus,
 )
+from imspe.criterion import _value_and_gradient
 from imspe.integrals import (
+    _DPAIR,
+    _PAIR,
     BESSEL_BRACKET_MATERN32,
     BESSEL_BRACKET_MATERN52,
+    _dsingle,
     bessel_polynomial_coefficients,
 )
-from imspe.quadrature import QuadratureSpec, integrate_mspe, integrate_pair
+from imspe.kernels import _DRHO, _RHO
+from imspe.quadrature import QuadratureSpec, average_over_domain, integrate_mspe, integrate_pair
 from imspe.search import SearchConfig, fd_gradient, multistart_search, projected_gradient
 
 EPS = np.finfo(float).eps
@@ -324,3 +334,164 @@ def test_criterion_7_gradient_checks(table2_runs):
                   f"projected gradient at 6 reproduced optima, worst {worst_pg:.2e} (<=1e-6)")
     assert worst_fd <= 1e-6
     assert worst_pg <= 1e-6
+
+
+def richardson_inward(family, points, h=1e-4):
+    """Richardson references whose stencils stay in the box.
+
+    Central differences where x +- h fit; otherwise the second-order
+    one-sided stencil pointing inward. Either is extrapolated over h and h/2,
+    to second order, except at a coordinate another point shares on its
+    axis: there the exponential kernel has a kink, the central difference
+    errs by O(h), and the extrapolation is first order.
+    """
+    pts = np.asarray(points, dtype=float)
+    flat = pts.ravel()
+    tied = np.array([[np.count_nonzero(column == x) > 1 for x in column] for column in pts.T]).T.ravel()
+
+    def value(j, offset):
+        moved = flat.copy()
+        moved[j] += offset
+        return imspe_value(family, moved.reshape(pts.shape))
+
+    def slope(j, step):
+        if -1.0 <= flat[j] - step and flat[j] + step <= 1.0:
+            return (value(j, step) - value(j, -step)) / (2.0 * step)
+        inward = -1.0 if flat[j] + step > 1.0 else 1.0
+        one_sided = -3.0 * value(j, 0.0) + 4.0 * value(j, inward * step) - value(j, 2.0 * inward * step)
+        return inward * one_sided / (2.0 * step)
+
+    gain = np.where(tied, 2.0, 4.0)
+    return np.array([(gain[j] * slope(j, h / 2.0) - slope(j, h)) / (gain[j] - 1.0) for j in range(flat.size)])
+
+
+def test_exact_gradient_vs_richardson():
+    # the adjoint gradient of the search against an independent reference:
+    # four families, d = 1-3, coordinates within 1e-6 of the box, exponential
+    # ties on one axis (the kink of R, where both take the mean slope)
+    rng = np.random.default_rng(71)
+    worst, cases = 0.0, 0
+    for kind in FAMILY_KINDS:
+        for d in (1, 2, 3):
+            for variant in ("interior", "edge", "tie"):
+                if variant == "tie" and (kind != "exponential" or d == 1):
+                    continue
+                fam = CovarianceFamily(kind, rng.uniform(0.5, 4.0, size=d))
+                cond = np.inf
+                while cond > 1e4:  # keeps the reference's rounding far below the bound
+                    pts = rng.uniform(-0.9, 0.9, size=(3, d))
+                    if variant == "edge":
+                        pts[0, 0] = 1.0 - 1e-6 * rng.random()
+                        pts[1, d - 1] = -1.0 + 1e-6 * rng.random()
+                        pts[2, d - 1] = 1.0 if d > 1 else pts[2, 0]
+                    if variant == "tie":
+                        pts[1, d - 1] = pts[0, d - 1]
+                    cond = imspe(fam, pts).condition_estimate
+                value, grad, _ = _value_and_gradient(fam, pts)
+                assert value == imspe_value(fam, pts)
+                worst = max(worst, float(np.max(np.abs(grad.ravel() - richardson_inward(fam, pts)))))
+                cases += 1
+    print(f"[criterion 7, exact gradient] {cases} designs, worst abs {worst:.2e} (<=1e-7)")
+    assert worst <= 1e-7
+
+
+def _sympy_pair(kind, th, a, b):
+    # the closed forms of integrals.py, transcribed from their docstrings
+    delta, ssum = sp.Abs(b - a), a + b
+
+    def mirrored(boundary):
+        return boundary(a, b) + boundary(-a, -b)
+
+    if kind == "exponential":
+        edges = sp.exp(-th * (2 + ssum)) + sp.exp(-th * (2 - ssum))
+        return ((1 + th * delta) * sp.exp(-th * delta) - edges / 2) / (2 * th)
+    if kind == "gaussian":
+        m, c = (a + b) / 2, sp.sqrt(2 * th)
+        amp = sp.sqrt(sp.pi / (2 * th)) * sp.exp(-th * (a - b) ** 2 / 2) / 4
+        return amp * (sp.erf(c * (1 - m)) + sp.erf(c * (1 + m)))
+    if kind == "matern32":
+        u = sp.sqrt(3 * th)
+        t = delta * u
+
+        def boundary(x, y):
+            return (5 + 3 * (2 + x + y) * u + 2 * (1 + x + y + x * y) * u**2) * sp.exp(-u * (2 + x + y))
+
+        return (2 * (15 + 15 * t + 6 * t**2 + t**3) * sp.exp(-t) - 3 * mirrored(boundary)) / (24 * u)
+    s = sp.sqrt(5 * th)
+    t = delta * s
+
+    def boundary(x, y):
+        S, G = x + y, x * y
+        poly = (945 + 675 * (2 + S) * s + 30 * (27 + 27 * S + 5 * S**2 + 7 * G) * s**2
+                + 120 * (1 + S + G) * (2 + S) * s**3 + 30 * (1 + S + G) ** 2 * s**4)
+        return poly * sp.exp(-s * (2 + S))
+
+    stationary = 2 * (945 + 945 * t + 420 * t**2 + 105 * t**3 + 15 * t**4 + t**5) * sp.exp(-t)
+    return (stationary - mirrored(boundary)) / (1080 * s)
+
+
+def _sympy_rho(kind, th, h):
+    if kind == "exponential":
+        return sp.exp(-th * h)
+    if kind == "gaussian":
+        return sp.exp(-th * h**2)
+    if kind == "matern32":
+        return (1 + sp.sqrt(3 * th) * h) * sp.exp(-sp.sqrt(3 * th) * h)
+    s = sp.sqrt(5 * th) * h
+    return (1 + s + s**2 / 3) * sp.exp(-s)
+
+
+def test_pair_slopes_vs_sympy_diff():
+    a, b, h = sp.symbols("a b h", real=True)
+    th = sp.symbols("theta", positive=True)
+    rng = np.random.default_rng(72)
+    anchors = [(0.3, -0.2), (-0.55, -0.55), (0.9, 1.0)] + [tuple(rng.uniform(-1, 1, 2)) for _ in range(3)]
+    worst = 0.0
+    for kind in FAMILY_KINDS:
+        pair = _sympy_pair(kind, th, a, b)
+        slope = sp.diff(pair, a)
+        rho_slope = sp.diff(_sympy_rho(kind, th, h), h)
+        for theta in THETAS:
+            for av, bv in anchors:
+                at = {a: sp.Float(av), b: sp.Float(bv), th: sp.Float(theta)}
+                # the transcription is the closed form the library evaluates
+                assert float(pair.evalf(30, subs=at)) == pytest.approx(_PAIR[kind](theta, av, bv), rel=1e-13)
+                exact = float(slope.evalf(30, subs=at))
+                worst = max(worst, abs(_DPAIR[kind](theta, av, bv) - exact) / max(1.0, abs(exact)))
+                hv = abs(av - bv)
+                exact = float(rho_slope.evalf(30, subs={h: sp.Float(hv), th: sp.Float(theta)}))
+                assert _DRHO[kind](theta, hv) == pytest.approx(exact, rel=1e-13, abs=1e-15)
+    print(f"[criterion 7, pair slopes] sympy d/da at {len(anchors) * 12} points, worst {worst:.2e} (<=1e-13)")
+    assert worst <= 1e-13
+
+
+def _average_to_absolute_tolerance(func, splits):
+    # the oracle stops when a refinement changes its value by 1e-13 relative;
+    # slopes that nearly cancel to 0 never get there, so integrate func + 1,
+    # which turns that test into an absolute one, and subtract the 1 again
+    return average_over_domain(lambda x: func(x) + 1.0, splits) - 1.0
+
+
+def test_pair_slopes_vs_quadrature():
+    # d/da (1/2) int rho(|a - x|) rho(|b - x|) dx = (1/2) int rho'(|a - x|) sign(a - x) rho(|b - x|) dx
+    rng = np.random.default_rng(73)
+    worst = 0.0
+    for kind in FAMILY_KINDS:
+        rho, drho = _RHO[kind], _DRHO[kind]
+        for theta in THETAS:
+            for _ in range(4):
+                av, bv = rng.uniform(-1.0, 1.0, size=2)
+                pair = _average_to_absolute_tolerance(
+                    lambda x: drho(theta, np.abs(av - x)) * np.sign(av - x) * rho(theta, np.abs(bv - x)),
+                    (av, bv),
+                )
+                single = _average_to_absolute_tolerance(
+                    lambda x: drho(theta, np.abs(av - x)) * np.sign(av - x), (av,)
+                )
+                worst = max(
+                    worst,
+                    abs(_DPAIR[kind](theta, av, bv) - pair) / max(1.0, abs(pair)),
+                    abs(_dsingle(kind, theta, av) - single) / max(1.0, abs(single)),
+                )
+    print(f"[criterion 7, pair slopes] quadrature at 48 anchor pairs, worst {worst:.2e} (<=1e-12)")
+    assert worst <= 1e-12

@@ -21,7 +21,7 @@ from imspe import (
     single_integral,
 )
 from imspe import criterion, integrals
-from imspe.criterion import _canonical_evaluation_points, sorted_rows
+from imspe.criterion import _canonical_evaluation_points, _value_and_gradient, sorted_rows
 
 THETAS = (0.1, 1.0, 10.0)
 
@@ -203,6 +203,26 @@ def test_canonical_points_sort_once_when_the_extreme_row_is_unique(monkeypatch):
         assert calls == [(12, d)]
 
 
+def test_canonical_points_sort_once_for_a_centrally_symmetric_design(monkeypatch):
+    # the extreme row ties with its mirror image; flipping every axis maps
+    # the design onto itself, so the mirror branch needs no sort of its own
+    calls = []
+
+    def counting_sorted_rows(points):
+        calls.append(points.shape)
+        return sorted_rows(points)
+
+    monkeypatch.setattr(criterion, "sorted_rows", counting_sorted_rows)
+    rng = np.random.default_rng(10)
+    for d in (1, 2, 5):
+        half = rng.uniform(-1.0, 1.0, size=(4, d))
+        for points in (np.array([[-0.5] * d, [0.5] * d]), np.vstack([half, -half])):
+            calls.clear()
+            canonical = _canonical_evaluation_points(points)
+            assert len(calls) == 1
+            assert canonical.tobytes() == _canonical_by_enumeration(points).tobytes()
+
+
 def test_permutation_and_reflection_invariance_above_sixteen_axes():
     rng = np.random.default_rng(17)
     fam = CovarianceFamily("matern52", [2.0])
@@ -309,3 +329,32 @@ def test_mspe_profile_vector_matches_scalars():
     grid = np.linspace(-1.0, 1.0, 11)
     vec = profile(grid)
     assert np.array_equal(vec, [profile(float(x)) for x in grid])
+
+
+def test_value_and_gradient_share_the_bits_and_symmetries_of_imspe():
+    rng = np.random.default_rng(12)
+    for kind in FAMILY_KINDS:
+        for d in (1, 2, 3, 4):
+            fam = CovarianceFamily(kind, rng.uniform(0.5, 5.0, size=d))
+            for n in (1, 2, 5):
+                grid = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, d))  # ties, zeros
+                pts = np.where(rng.random((n, d)) < 0.5, grid, rng.uniform(-1.0, 1.0, size=(n, d)))
+                try:
+                    expected = imspe_value(fam, pts)
+                except SingularDesignError:
+                    with pytest.raises(SingularDesignError):
+                        _value_and_gradient(fam, pts)
+                    continue
+                value, grad, _ = _value_and_gradient(fam, pts)
+                assert value == expected
+                assert grad.shape == pts.shape
+                # moving rows and reflecting axes moves and reflects the
+                # gradient, to the last bit, for a design that no such move
+                # maps onto itself
+                pts = rng.uniform(-1.0, 1.0, size=(n, d))
+                value, grad, _ = _value_and_gradient(fam, pts)
+                order = rng.permutation(n)
+                signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+                moved_value, moved_grad, _ = _value_and_gradient(fam, pts[order] * signs)
+                assert moved_value == value
+                assert np.array_equal(moved_grad, grad[order] * signs)

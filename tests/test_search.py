@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from imspe import search
+from imspe.search import STOP_REASONS
 from imspe import (
     CovarianceFamily,
     Design,
@@ -110,6 +111,39 @@ def test_local_search_recovers_two_point_optimum():
     assert out.value == pytest.approx(1.2505061071319, rel=1e-11)
 
 
+def test_local_search_reaches_every_stop_reason(monkeypatch):
+    fam = CovarianceFamily("exponential", [10.0])
+    assert local_search(fam, Design([-0.4, 0.4])).stop_reason == "grad_tol"
+    capped = local_search(fam, Design([-0.4, 0.4]), SearchConfig(max_iterations=1))
+    assert (capped.stop_reason, capped.converged, capped.iterations) == ("max_iterations", False, 1)
+    exact = search._value_and_gradient
+    objective = search._objective
+    # every trial step rises well above the rounding of f: halving runs until
+    # the predicted change g's falls below that rounding, then even the
+    # steepest-descent step is refused
+    monkeypatch.setattr(search, "_objective", lambda *args: objective(*args) + 1e-3)
+    stalled = local_search(fam, Design([-0.4, 0.4]))
+    assert (stalled.stop_reason, stalled.converged, stalled.iterations) == ("linesearch_stall", False, 1)
+    assert stalled.grad_norm > 1e-9
+    monkeypatch.setattr(search, "_objective", objective)
+
+    calls = []
+
+    def poisoned_after(count):
+        def value_and_gradient(family, points):
+            calls.append(None)
+            value, grad, unit = exact(family, points)
+            return value, grad if len(calls) <= count else np.full_like(grad, np.nan), unit
+        return value_and_gradient
+
+    for count, iterations in ((0, 0), (1, 1)):
+        calls.clear()
+        monkeypatch.setattr(search, "_value_and_gradient", poisoned_after(count))
+        out = local_search(fam, Design([-0.4, 0.4]))
+        assert (out.stop_reason, out.converged, out.iterations) == ("nonfinite_gradient", False, iterations)
+        assert out.grad_norm == np.inf
+
+
 def test_local_search_at_optimum_stays_put():
     fam = CovarianceFamily("gaussian", [1.0])
     start = Design([-0.5479848421867, 0.5479848421867])
@@ -123,6 +157,30 @@ def test_local_search_rejects_singular_start():
     fam = CovarianceFamily("gaussian", [1.0])
     with pytest.raises(SingularDesignError):
         local_search(fam, Design([0.3, 0.3]))
+
+
+def test_multistart_eight_points_in_two_dimensions():
+    fam = CovarianceFamily("matern52", [2.0])
+    res = multistart_search(fam, 8, 2, SearchConfig(starts=4, seed=0))
+    assert res.best_imspe == pytest.approx(0.12109787975876996, rel=1e-12, abs=0.0)
+    assert res.best_imspe == imspe_value(fam, res.best_design)
+    assert len(res.outcomes) == 4
+    assert all(o.stop_reason in STOP_REASONS for o in res.outcomes)
+    assert res.starts_converged == sum(o.stop_reason == "grad_tol" for o in res.outcomes)
+
+
+@pytest.mark.parametrize("kind,theta", [
+    ("exponential", [3.0]), ("gaussian", [1.0, 4.0]), ("matern32", [3.0]), ("matern52", [1.0, 4.0]),
+])
+def test_multistart_three_points_in_two_dimensions(kind, theta):
+    fam = CovarianceFamily(kind, theta)
+    res = multistart_search(fam, 3, 2, SearchConfig(starts=4, seed=0))
+    assert res.best_design is not None
+    assert res.best_imspe == imspe_value(fam, res.best_design)
+    assert all(o.stop_reason in STOP_REASONS for o in res.outcomes)
+    # stationary by the finite-difference oracle too
+    x = res.best_design.points.ravel()
+    assert np.max(np.abs(projected_gradient(x, fd_gradient(fam, res.best_design)))) <= 1e-6
 
 
 def test_multistart_single_point_gaussian():

@@ -1,8 +1,10 @@
-"""Print one sha256 over seeded outputs of the imspe package, to the last bit.
+"""Print sha256 hashes over seeded outputs of the imspe package, to the last bit.
 
 Run it from the root of a checkout, once against each of two trees, and
 compare the lines; equal hashes mean the two trees produce bit-identical
-outputs on everything hashed here:
+outputs on everything hashed here. One line per section below (hash, then
+section name) comes first, then one line with the overall hash of all
+sections' bytes in order:
 
     PYTHONPATH=src python3 tools/fingerprint.py
     PYTHONPATH=/path/to/other/checkout/src python3 tools/fingerprint.py
@@ -148,34 +150,58 @@ def _without_timing(record):
     return record
 
 
-def _records(digest):
-    commands = (
-        ["eval", "--family", "matern32", "--theta", "1.5", "--theta", "0.5",
-         "--points", "-0.5,0.25", "--points", "0.0,-0.75", "--points", "0.6,0.6",
-         "--diagnostics"],
-        ["search", "--family", "exponential", "--theta", "1", "--n", "2",
-         "--starts", "4", "--seed", "1"],
-        ["reproduce-tables", "--table", "1"],
-    )
-    for argv in commands:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(argv + ["--format", "json", "--quiet"])
-        record = _without_timing(json.loads(out.getvalue()))
-        digest.update(f"{code} {json.dumps(record, sort_keys=True)}".encode())
+_RECORD_COMMANDS = (
+    ["eval", "--family", "matern32", "--theta", "1.5", "--theta", "0.5",
+     "--points", "-0.5,0.25", "--points", "0.0,-0.75", "--points", "0.6,0.6",
+     "--diagnostics"],
+    ["search", "--family", "exponential", "--theta", "1", "--n", "2",
+     "--starts", "4", "--seed", "1"],
+    ["reproduce-tables", "--table", "1"],
+)
+
+
+def _record(digest, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--format", "json", "--quiet"])
+    record = _without_timing(json.loads(out.getvalue()))
+    digest.update(f"{code} {json.dumps(record, sort_keys=True)}".encode())
+
+
+class _Both:
+    """Feeds every update to a section's digest and to the overall one."""
+
+    def __init__(self, section, overall):
+        self.section, self.overall = section, overall
+
+    def update(self, data):
+        self.section.update(data)
+        self.overall.update(data)
 
 
 def fingerprint():
-    digest = hashlib.sha256()
+    """(section name, hash) pairs in order, and the overall hash."""
+    overall = hashlib.sha256()
+    sections = []
+
+    def section(name):
+        digest = hashlib.sha256()
+        sections.append((name, digest))
+        return _Both(digest, overall)
+
     designs = list(_designs(np.random.default_rng(20171)))
-    _evaluations(digest, designs)
-    _assemblies(digest, designs)
-    _anchor_batches(digest, np.random.default_rng(20172))
-    _oracles(digest, np.random.default_rng(20173))
-    _searches(digest)
-    _records(digest)
-    return digest.hexdigest()
+    _evaluations(section("evaluations"), designs)
+    _assemblies(section("assemblies"), designs)
+    _anchor_batches(section("anchor batches"), np.random.default_rng(20172))
+    _oracles(section("oracles"), np.random.default_rng(20173))
+    _searches(section("searches"))
+    for argv in _RECORD_COMMANDS:
+        _record(section(f"{argv[0]} record"), argv)
+    return [(name, digest.hexdigest()) for name, digest in sections], overall.hexdigest()
 
 
 if __name__ == "__main__":
-    print(fingerprint())
+    parts, whole = fingerprint()
+    for name, hexdigest in parts:
+        print(f"{hexdigest}  {name}")
+    print(whole)
