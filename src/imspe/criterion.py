@@ -13,9 +13,10 @@ average of row i (tensor products over dimensions),
 
     imspe = 1 - tr(R^{-1} W) + (1 - 2 u'v + u'Wu) / (u'1),   u = R^{-1} 1.
 
-Everything goes through one Cholesky factorization of R. The value uses
-solves only; the search's exact gradient (``_value_and_gradient``) also
-forms R^{-1} from that factor, as ``cho_solve(cho, I)``.
+One pass over the axes yields the per-axis factors of R, W and v. The
+value and the search's exact gradient (``_value_and_gradient``) share those
+factors and one Cholesky factorization of R. The value uses solves only;
+the gradient also forms R^{-1} from that factor, as ``cho_solve(cho, I)``.
 """
 
 from __future__ import annotations
@@ -116,38 +117,41 @@ def _canonical_form(points):
             branches.append((s, rest, np.where(free, neg[rest], points[rest] * s).tolist()))
 
 
-def _canonical_evaluation_points(points):
-    return _canonical_form(points)[0]
-
-
 def build_correlation_matrix(family, design):
     """Symmetric n x n matrix of pairwise design correlations, unit diagonal."""
     dsn = as_design(design)
     return cross_correlation(family, dsn.points, dsn.points)
 
 
-def _averages(family, points):
-    """W and v of checked (n, d) points in one pass over the axes, without argument checks."""
-    n, d = points.shape
-    th = family.theta_for_dimension(d)
-    pair, single = _PAIR[family.kind], _SINGLE[family.kind]
-    W = np.ones((n, n))
-    v = np.ones(n)
-    for k in range(d):
-        col = points[:, k]
-        W *= pair(th[k], col[:, None], col[None, :])
-        v *= single(th[k], col)
-    return W, v
+def _axis_factors(family, points):
+    """The d per-axis factors of each of R, W and v of checked (n, d) points, in one pass."""
+    th = family.theta_for_dimension(points.shape[1])
+    kind = family.kind
+    rho, pair, single = _RHO[kind], _PAIR[kind], _SINGLE[kind]
+    R_axes, W_axes, v_axes = [], [], []
+    for k, col in enumerate(points.T):
+        R_axes.append(rho(th[k], np.abs(col[:, None] - col[None, :])))
+        W_axes.append(pair(th[k], col[:, None], col[None, :]))
+        v_axes.append(single(th[k], col))
+    return R_axes, W_axes, v_axes
+
+
+def _product(factors):
+    """Product of per-axis factors in axis order from ones, as ``cross_correlation`` multiplies."""
+    out = np.ones_like(factors[0])
+    for factor in factors:
+        out = out * factor
+    return out
 
 
 def build_pair_matrix(family, design):
     """Symmetric n x n matrix of pair averages W_ij over the box (tensor product over axes)."""
-    return _averages(family, as_design(design).points)[0]
+    return _product(_axis_factors(family, as_design(design).points)[1])
 
 
 def build_single_vector(family, design):
     """Length-n vector of single averages v_i over the box (tensor product over dimensions)."""
-    return _averages(family, as_design(design).points)[1]
+    return _product(_axis_factors(family, as_design(design).points)[2])
 
 
 def _factor(R):
@@ -203,9 +207,8 @@ def imspe(family, design):
         If R has no Cholesky factorization (coincident or near-coincident
         points).
     """
-    points = _canonical_evaluation_points(as_design(design).points)
-    R = cross_correlation(family, points, points)
-    W, v = _averages(family, points)
+    points = _canonical_form(as_design(design).points)[0]
+    R, W, v = map(_product, _axis_factors(family, points))
     value = _value(*_factor(R), W, v)[0]
     return ImspeEvaluation(value=value, R=R, W=W, v=v)
 
@@ -222,32 +225,28 @@ def _value(cho, u, denom, W, v):
 
 
 def _leave_one_out(factors):
-    """For each k the product of all factors but the k-th, and the product of all.
+    """For each k, the product of all factors but the k-th.
 
-    Products run in axis order from ones, as the assembly's loops do, so
-    the full product has the bits of R, W or v in ``imspe()``.
-    """
-    d = len(factors)
-    suffix = [np.ones_like(factors[0])] * (d + 1)
-    for k in range(d - 1, 0, -1):
-        suffix[k] = suffix[k + 1] * factors[k]
-    out, prefix = [], np.ones_like(factors[0])
-    for k in range(d):
-        out.append(prefix * suffix[k + 1])
-        prefix = prefix * factors[k]
-    return out, prefix
+    Factors before k multiply in axis order from ones, those after k in reverse order."""
+    ones = np.ones_like(factors[0])
+    before, after = [ones], [ones]
+    for factor in factors[:-1]:
+        before.append(before[-1] * factor)
+    for factor in factors[:0:-1]:
+        after.append(after[-1] * factor)
+    return [head * tail for head, tail in zip(before, reversed(after))]
 
 
 def _value_and_gradient(family, points):
     """Criterion of checked (n, d) points, its gradient and its rounding unit.
 
     The value is ``imspe(family, points).value`` bit for bit: the same
-    canonical points, R, W, v, factor and exact sum. The rounding unit is
-    machine epsilon times the sum of the magnitudes of the value's five
-    terms: the value is a small difference of terms near 1, so it is
-    rounded on their scale, not on its own. The gradient, shaped like
-    ``points``, comes from one factor of R as the adjoint of the assembly. With u = R^{-1} 1,
-    c = 1'u, N = 1 - 2 u'v + u'Wu and z = R^{-1} (W u - v):
+    canonical points, axis factors, products, factor and exact sum. The
+    rounding unit is machine epsilon times the sum of the magnitudes of the
+    value's five terms: the value is a small difference of terms near 1, so
+    it is rounded on their scale, not on its own. The gradient, shaped like
+    ``points``, comes from one factor of R as the adjoint of the assembly.
+    With u = R^{-1} 1, c = 1'u, N = 1 - 2 u'v + u'Wu and z = R^{-1} (W u - v):
 
         df/dW = uu'/c - R^{-1}
         df/dv = -2 u / c
@@ -262,25 +261,8 @@ def _value_and_gradient(family, points):
     """
     canonical, signs = _canonical_form(points)
     n, d = canonical.shape
-    th = family.theta_for_dimension(d)
-    kind = family.kind
-    rho, pair, single = _RHO[kind], _PAIR[kind], _SINGLE[kind]
-    R_axes, W_axes, v_axes, slopes = [], [], [], []
-    for k in range(d):
-        col = canonical[:, k]
-        gap = col[:, None] - col[None, :]
-        # the same calls, in the same order, as cross_correlation and _averages
-        R_axes.append(rho(th[k], np.abs(gap)))
-        W_axes.append(pair(th[k], col[:, None], col[None, :]))
-        v_axes.append(single(th[k], col))
-        slopes.append((
-            _DRHO[kind](th[k], np.abs(gap)) * np.sign(gap),
-            _DPAIR[kind](th[k], col[:, None], col[None, :]),
-            _dsingle(kind, th[k], col),
-        ))
-    R_rest, R = _leave_one_out(R_axes)
-    W_rest, W = _leave_one_out(W_axes)
-    v_rest, v = _leave_one_out(v_axes)
+    factors = _axis_factors(family, canonical)
+    R, W, v = map(_product, factors)
     cho, u, denom = _factor(R)
     value, terms, RiW, uW = _value(cho, u, denom, W, v)
 
@@ -293,8 +275,15 @@ def _value_and_gradient(family, points):
     dv = -2.0 * u / denom
     RiWRi = cho_solve(cho, RiW.T, check_finite=False)
     dR = RiWRi - (np.outer(z, u) + np.outer(u, z)) / denom + numerator * uu / denom
+    th = family.theta_for_dimension(d)
+    kind = family.kind
+    R_rest, W_rest, v_rest = map(_leave_one_out, factors)
     grad = np.empty((n, d))
-    for k, (sR, sW, sv) in enumerate(slopes):
+    for k, col in enumerate(canonical.T):
+        gap = col[:, None] - col[None, :]
+        sR = _DRHO[kind](th[k], np.abs(gap)) * np.sign(gap)
+        sW = _DPAIR[kind](th[k], col[:, None], col[None, :])
+        sv = _dsingle(kind, th[k], col)
         # R and W are symmetric, so row i and column i contribute alike
         rows = (dR * sR * R_rest[k]).sum(axis=1) + (dW * sW * W_rest[k]).sum(axis=1)
         grad[:, k] = 2.0 * rows + dv * sv * v_rest[k]

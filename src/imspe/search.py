@@ -1,13 +1,14 @@
 """Multistart projected-BFGS minimization of the design criterion over the unit box.
 
 Coordinates live in [-1, 1]; the only constraints are the box bounds, so
-projection is a clip. The descent takes the exact gradient of the criterion
-from the same assembly and Cholesky factor as its value (the adjoint in
-``criterion._value_and_gradient``); ``fd_gradient`` stays as the finite-
-difference oracle the tests check it against. A start converges when the
-projected gradient (gradient with outward components zeroed on active
-bounds) has infinity norm at or below the optimality tolerance. Converged
-optima are deduplicated by clustering canonically sorted designs.
+projection is a clip. The descent prices each point it tries by one
+evaluation of the criterion and its exact gradient, from one assembly and
+Cholesky factor (the adjoint in ``criterion._value_and_gradient``);
+``fd_gradient`` stays as the finite-difference oracle the tests check it
+against. A start converges when the projected gradient (gradient with
+outward components zeroed on active bounds) has infinity norm at or below
+the optimality tolerance. Converged optima are deduplicated by clustering
+canonically sorted designs.
 
 Everything is deterministic for a given seed: starting designs come from a
 seeded generator and the descent itself contains no randomness, so repeated
@@ -163,12 +164,13 @@ def local_search(family, start, config=DEFAULT_CONFIG):
 
     Returns a LocalSearchResult; ``converged`` means the projected-gradient
     infinity norm reached ``config.optimality_tol``. Each trial step costs
-    one criterion value, and the gradient is computed only at the accepted
-    point. A step passes on Armijo sufficient decrease; where f changes by
-    no more than its rounding (a few epsilon on the scale of the terms it is
+    one evaluation of the criterion and its gradient, which an accepted step
+    keeps. A step passes on Armijo sufficient decrease; where f changes by no
+    more than its rounding (a few epsilon on the scale of the terms it is
     summed from), it passes on the approximate Wolfe conditions instead, and
-    halving stops once the predicted change g's falls below that rounding. Iterates that make the correlation matrix singular price
-    as +inf, so the backtracking shrinks past them instead of crashing.
+    halving stops once the predicted change g's falls below that rounding.
+    Trial points with a singular correlation matrix price as +inf, so the
+    backtracking shrinks past them instead of crashing.
     """
     dsn = as_design(start)
     shape = dsn.points.shape
@@ -207,8 +209,7 @@ def local_search(family, start, config=DEFAULT_CONFIG):
             H = np.eye(x.size)
             h_is_identity = True
             continue
-        x_new, f_new, slopes = accepted
-        g_new, unit_new = _evaluate(family, x_new, shape)[1:] if slopes is None else slopes
+        x_new, f_new, g_new, unit_new = accepted
         if not np.all(np.isfinite(g_new)):
             return LocalSearchResult(
                 Design(x_new.reshape(shape)), f_new, False, iterations, math.inf, "nonfinite_gradient"
@@ -245,9 +246,9 @@ def _evaluate(family, flat, shape):
 def _line_search(family, shape, x, f, g, rounding, direction):
     """Backtrack along ``direction`` from x, where f is rounded at ``rounding``.
 
-    Returns (x_new, f_new, None) on Armijo decrease, (x_new, f_new,
-    (g_new, unit_new)) on the approximate Wolfe conditions, whose test
-    computed the gradient already, or None on a stall.
+    Each trial is priced by one ``_evaluate``, +inf where R is singular.
+    Returns (x_new, f_new, g_new, unit_new) on Armijo decrease or on the
+    approximate Wolfe conditions, or None on a stall.
     """
     step_scale = 1.0
     for _ in range(_LINESEARCH_CAP):
@@ -256,14 +257,16 @@ def _line_search(family, shape, x, f, g, rounding, direction):
         if not np.any(step):
             return None
         slope = float(g @ step)
-        f_cand = _objective(family, candidate, shape)
+        try:
+            f_cand, g_cand, unit_cand = _evaluate(family, candidate, shape)
+        except SingularDesignError:
+            f_cand = math.inf
         if f_cand <= f + _ARMIJO * slope:
-            return candidate, f_cand, None
+            return candidate, f_cand, g_cand, unit_cand
         if abs(f_cand - f) <= rounding:
-            _, g_cand, unit_cand = _evaluate(family, candidate, shape)
             slope_cand = float(g_cand @ step)
             if _WOLFE_SIGMA * slope <= slope_cand <= (2.0 * _WOLFE_DELTA - 1.0) * slope:
-                return candidate, f_cand, (g_cand, unit_cand)
+                return candidate, f_cand, g_cand, unit_cand
         if abs(slope) <= rounding:
             # a shorter step would change f by less than it can resolve
             return None

@@ -21,7 +21,7 @@ from imspe import (
     single_integral,
 )
 from imspe import criterion, integrals
-from imspe.criterion import _canonical_evaluation_points, _value_and_gradient, sorted_rows
+from imspe.criterion import _canonical_form, _value_and_gradient, sorted_rows
 
 THETAS = (0.1, 1.0, 10.0)
 
@@ -182,7 +182,7 @@ def _canonicalization_cases(rng):
 def test_canonical_points_match_the_sign_flip_enumeration():
     rng = np.random.default_rng(5)
     for points in _canonicalization_cases(rng):
-        fast = _canonical_evaluation_points(points)
+        fast = _canonical_form(points)[0]
         slow = _canonical_by_enumeration(points)
         assert np.array_equal(fast, slow)
         assert fast.tobytes() == slow.tobytes()  # signed zeros agree too
@@ -199,7 +199,7 @@ def test_canonical_points_sort_once_when_the_extreme_row_is_unique(monkeypatch):
     rng = np.random.default_rng(9)
     for d in (1, 2, 10, 40):
         calls.clear()
-        _canonical_evaluation_points(rng.uniform(-1.0, 1.0, size=(12, d)))
+        _canonical_form(rng.uniform(-1.0, 1.0, size=(12, d)))
         assert calls == [(12, d)]
 
 
@@ -218,7 +218,7 @@ def test_canonical_points_sort_once_for_a_centrally_symmetric_design(monkeypatch
         half = rng.uniform(-1.0, 1.0, size=(4, d))
         for points in (np.array([[-0.5] * d, [0.5] * d]), np.vstack([half, -half])):
             calls.clear()
-            canonical = _canonical_evaluation_points(points)
+            canonical = _canonical_form(points)[0]
             assert len(calls) == 1
             assert canonical.tobytes() == _canonical_by_enumeration(points).tobytes()
 

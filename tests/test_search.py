@@ -117,17 +117,20 @@ def test_local_search_reaches_every_stop_reason(monkeypatch):
     capped = local_search(fam, Design([-0.4, 0.4]), SearchConfig(max_iterations=1))
     assert (capped.stop_reason, capped.converged, capped.iterations) == ("max_iterations", False, 1)
     exact = search._value_and_gradient
-    objective = search._objective
+    calls = []
+
+    def raised_after_start(family, points):
+        calls.append(None)
+        value, grad, unit = exact(family, points)
+        return (value if len(calls) == 1 else value + 1e-3), grad, unit
+
     # every trial step rises well above the rounding of f: halving runs until
     # the predicted change g's falls below that rounding, then even the
     # steepest-descent step is refused
-    monkeypatch.setattr(search, "_objective", lambda *args: objective(*args) + 1e-3)
+    monkeypatch.setattr(search, "_value_and_gradient", raised_after_start)
     stalled = local_search(fam, Design([-0.4, 0.4]))
     assert (stalled.stop_reason, stalled.converged, stalled.iterations) == ("linesearch_stall", False, 1)
     assert stalled.grad_norm > 1e-9
-    monkeypatch.setattr(search, "_objective", objective)
-
-    calls = []
 
     def poisoned_after(count):
         def value_and_gradient(family, points):
@@ -142,6 +145,43 @@ def test_local_search_reaches_every_stop_reason(monkeypatch):
         out = local_search(fam, Design([-0.4, 0.4]))
         assert (out.stop_reason, out.converged, out.iterations) == ("nonfinite_gradient", False, iterations)
         assert out.grad_norm == np.inf
+
+
+def test_local_search_evaluates_each_trial_once(monkeypatch):
+    exact = search._value_and_gradient
+    seen = []
+
+    def recorded(family, points):
+        seen.append(points.tobytes())
+        return exact(family, points)
+
+    def forbidden(*args):
+        raise AssertionError("the descent priced a point without its gradient")
+
+    monkeypatch.setattr(search, "_value_and_gradient", recorded)
+    monkeypatch.setattr(search, "imspe", forbidden)
+    monkeypatch.setattr(search, "_objective", forbidden)
+    out = local_search(CovarianceFamily("exponential", [10.0]), Design([-0.4, 0.4]))
+    assert out.converged
+    assert len(seen) > out.iterations
+    assert len(set(seen)) == len(seen)
+
+
+def test_local_search_prices_a_singular_trial_as_inf(monkeypatch):
+    exact = search._value_and_gradient
+    calls = []
+
+    def singular_first_trial(family, points):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SingularDesignError("correlation matrix is not positive definite")
+        return exact(family, points)
+
+    monkeypatch.setattr(search, "_value_and_gradient", singular_first_trial)
+    out = local_search(CovarianceFamily("exponential", [10.0]), Design([-0.4, 0.4]))
+    assert len(calls) > 2
+    assert (out.stop_reason, out.converged) == ("grad_tol", True)
+    assert out.value == pytest.approx(1.2505061071319, rel=1e-11)
 
 
 def test_local_search_at_optimum_stays_put():
