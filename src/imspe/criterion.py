@@ -15,8 +15,12 @@ average of row i (tensor products over dimensions),
 
 One pass over the axes yields the per-axis factors of R, W and v. The
 value and the search's exact gradient (``_value_and_gradient``) share those
-factors and one Cholesky factorization of R. The value uses solves only;
-the gradient also forms R^{-1} from that factor, as ``cho_solve(cho, I)``.
+factors and one Cholesky factorization of R, made by LAPACK ``dpotrf``
+(``_factor``); every solve is one ``dpotrs`` call on that factor
+(``_solve``). These are the routines scipy's ``cho_factor`` and
+``cho_solve`` wrap, called without the wrappers' per-call checks: R, W and v
+are checked finite once per evaluation instead. The value uses solves only;
+the gradient also forms R^{-1} from the factor, as ``_solve(c, I)``.
 """
 
 from __future__ import annotations
@@ -25,9 +29,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+# cho_factor and cho_solve are unused here but stay bound: bench/spans.py
+# looks both up on this module to trace them
+from scipy.linalg import cho_factor, cho_solve  # noqa: F401
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import SingularDesignError
+from .errors import InvalidDesignError, InvalidHyperparameterError, SingularDesignError
 # pair_integral and single_integral are re-exported: bench/spans.py traces them here
 from .integrals import _DPAIR, _PAIR, _SINGLE, _dsingle, pair_integral, single_integral  # noqa: F401
 from .kernels import _DRHO, _RHO, as_design, cross_correlation
@@ -137,11 +144,33 @@ def _axis_factors(family, points):
 
 
 def _product(factors):
-    """Product of per-axis factors in axis order from ones, as ``cross_correlation`` multiplies."""
-    out = np.ones_like(factors[0])
-    for factor in factors:
+    """Product of per-axis factors in axis order.
+
+    It has the bits of ``cross_correlation``'s product from ones, as 1.0 * x == x;
+    with one factor it is that factor's own array.
+    """
+    out = factors[0]
+    for factor in factors[1:]:
         out = out * factor
     return out
+
+
+def _check_finite(family, **arrays):
+    """InvalidHyperparameterError naming the family, theta and array if one is not finite."""
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise InvalidHyperparameterError(
+                f"{family.kind} correlation at theta {list(family.theta)} is not finite "
+                f"in double precision ({name} has inf or nan entries)"
+            )
+
+
+def _assemble(family, points):
+    """Per-axis factors of checked (n, d) points and their finite products R, W and v."""
+    factors = _axis_factors(family, points)
+    R, W, v = map(_product, factors)
+    _check_finite(family, R=R, W=W, v=v)
+    return factors, R, W, v
 
 
 def build_pair_matrix(family, design):
@@ -155,28 +184,37 @@ def build_single_vector(family, design):
 
 
 def _factor(R):
-    """Cholesky factor of R, u = R^{-1} 1 and 1'u, or SingularDesignError.
+    """Lower Cholesky factor c of a finite R, u = R^{-1} 1 and 1'u, or SingularDesignError.
 
     Raises when R has no finite Cholesky factor or when 1'R^{-1}1 is not
-    positive and finite.
+    positive and finite. The upper triangle of c holds R's own entries.
     """
-    try:
-        cho = cho_factor(R, lower=True)
-    except LinAlgError as exc:
+    c, info = dpotrf(R, lower=1, clean=0)
+    if info > 0:
         raise SingularDesignError(
-            f"correlation matrix is not positive definite: {exc}"
-        ) from exc
-    diag = np.diag(cho[0])
-    if not np.all(np.isfinite(cho[0])) or np.any(diag <= 0.0):
+            "correlation matrix is not positive definite: "
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"dpotrf reported an illegal value in argument {-info}")
+    if not np.isfinite(c).all() or (c.diagonal() <= 0.0).any():
         raise SingularDesignError("correlation matrix factorization produced non-finite entries")
     ones = np.ones(R.shape[0])
-    u = cho_solve(cho, ones)
+    u = _solve(c, ones)
     denom = float(u @ ones)
     if not math.isfinite(denom) or denom <= 0.0:
         raise SingularDesignError(
             "correlation matrix is numerically singular (1'R^{-1}1 not positive)"
         )
-    return cho, u, denom
+    return c, u, denom
+
+
+def _solve(c, b):
+    """R^{-1} b from the factor c of ``_factor``; b is a vector or a matrix of columns."""
+    x, info = dpotrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs reported an illegal value in argument {-info}")
+    return x
 
 
 def imspe(family, design):
@@ -202,20 +240,21 @@ def imspe(family, design):
     Raises
     ------
     InvalidDesignError, InvalidHyperparameterError
-        On bad points, or a theta count that is neither 1 nor d.
+        On bad points, a theta count that is neither 1 nor d, or a theta so
+        large that R, W or v is not finite in double precision.
     SingularDesignError
         If R has no Cholesky factorization (coincident or near-coincident
         points).
     """
     points = _canonical_form(as_design(design).points)[0]
-    R, W, v = map(_product, _axis_factors(family, points))
+    R, W, v = _assemble(family, points)[1:]
     value = _value(*_factor(R), W, v)[0]
     return ImspeEvaluation(value=value, R=R, W=W, v=v)
 
 
-def _value(cho, u, denom, W, v):
+def _value(c, u, denom, W, v):
     """The criterion from ``_factor(R)``, W and v, with its five terms, R^{-1} W and u'W."""
-    RiW = cho_solve(cho, W)
+    RiW = _solve(c, W)
     uW = u @ W
     lin = float(u @ v)
     quad = float(uW @ u)
@@ -225,16 +264,20 @@ def _value(cho, u, denom, W, v):
 
 
 def _leave_one_out(factors):
-    """For each k, the product of all factors but the k-th.
+    """For each k, the product of all factors but the k-th (ones for a lone factor).
 
-    Factors before k multiply in axis order from ones, those after k in reverse order."""
-    ones = np.ones_like(factors[0])
-    before, after = [ones], [ones]
-    for factor in factors[:-1]:
+    Factors before k multiply in axis order, those after k in reverse order,
+    each from its first factor."""
+    if len(factors) == 1:
+        return [np.ones_like(factors[0])]
+    before = [factors[0]]  # before[k]: factors 0..k
+    for factor in factors[1:-1]:
         before.append(before[-1] * factor)
-    for factor in factors[:0:-1]:
+    after = [factors[-1]]  # after[k]: factors d-1 down to d-1-k
+    for factor in factors[-2:0:-1]:
         after.append(after[-1] * factor)
-    return [head * tail for head, tail in zip(before, reversed(after))]
+    inner = [head * tail for head, tail in zip(before[:-1], reversed(after[:-1]))]
+    return [after[-1], *inner, before[-1]]
 
 
 def _value_and_gradient(family, points):
@@ -261,20 +304,19 @@ def _value_and_gradient(family, points):
     """
     canonical, signs = _canonical_form(points)
     n, d = canonical.shape
-    factors = _axis_factors(family, canonical)
-    R, W, v = map(_product, factors)
-    cho, u, denom = _factor(R)
-    value, terms, RiW, uW = _value(cho, u, denom, W, v)
+    factors, R, W, v = _assemble(family, canonical)
+    c, u, denom = _factor(R)
+    value, terms, RiW, uW = _value(c, u, denom, W, v)
 
     # the value above used solves only; the adjoint needs R^{-1} itself
-    Rinv = cho_solve(cho, np.eye(n), check_finite=False)
-    uu = np.outer(u, u) / denom
+    Rinv = _solve(c, np.eye(n))
+    uu = u[:, None] * u / denom
     numerator = 1.0 - 2.0 * float(u @ v) + float(uW @ u)
     z = Rinv @ (uW - v)
     dW = uu - Rinv
     dv = -2.0 * u / denom
-    RiWRi = cho_solve(cho, RiW.T, check_finite=False)
-    dR = RiWRi - (np.outer(z, u) + np.outer(u, z)) / denom + numerator * uu / denom
+    RiWRi = _solve(c, RiW.T)
+    dR = RiWRi - (z[:, None] * u + u[:, None] * z) / denom + numerator * uu / denom
     th = family.theta_for_dimension(d)
     kind = family.kind
     R_rest, W_rest, v_rest = map(_leave_one_out, factors)
@@ -307,13 +349,17 @@ def mspe_evaluator(family, design):
     """
     dsn = as_design(design)
     R = build_correlation_matrix(family, dsn)
-    cho, u, denom = _factor(R)
+    _check_finite(family, R=R)
+    c, u, denom = _factor(R)
 
     def profile(x):
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
+        if not np.isfinite(arr).all():
+            raise InvalidDesignError("locations must be finite")
         r = cross_correlation(family, dsn.points, arr.reshape(1, -1) if scalar else arr)
-        solved = cho_solve(cho, r)
+        _check_finite(family, r=r)
+        solved = _solve(c, r)
         quad = np.einsum("ij,ij->j", r, solved)
         lin = u @ r
         out = 1.0 - quad + (1.0 - lin) ** 2 / denom

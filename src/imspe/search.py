@@ -179,7 +179,7 @@ def local_search(family, start, config=DEFAULT_CONFIG):
         f, g, unit = _evaluate(family, x, shape)
     except SingularDesignError as exc:
         raise SingularDesignError("starting design has a singular correlation matrix") from exc
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         return LocalSearchResult(Design(x.reshape(shape)), f, False, 0, math.inf, "nonfinite_gradient")
     H = np.eye(x.size)
     h_is_identity = True
@@ -194,7 +194,7 @@ def local_search(family, start, config=DEFAULT_CONFIG):
         iterations += 1
 
         direction = -projected_gradient(x, H @ g, config.feasibility_tol)
-        if float(direction @ g) >= 0.0 or not np.any(direction):
+        if float(direction @ g) >= 0.0 or not direction.any():
             # quasi-Newton model broke down; restart from steepest descent
             H = np.eye(x.size)
             h_is_identity = True
@@ -210,21 +210,21 @@ def local_search(family, start, config=DEFAULT_CONFIG):
             h_is_identity = True
             continue
         x_new, f_new, g_new, unit_new = accepted
-        if not np.all(np.isfinite(g_new)):
+        if not np.isfinite(g_new).all():
             return LocalSearchResult(
                 Design(x_new.reshape(shape)), f_new, False, iterations, math.inf, "nonfinite_gradient"
             )
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
-        if sy > _CURVATURE_FLOOR * float(np.linalg.norm(s) * np.linalg.norm(y)):
+        if sy > _CURVATURE_FLOOR * (math.sqrt(float(s @ s)) * math.sqrt(float(y @ y))):
             rho_inv = 1.0 / sy
             Hy = H @ y
             yHy = float(y @ Hy)
             H = (
                 H
-                - rho_inv * (np.outer(s, Hy) + np.outer(Hy, s))
-                + (rho_inv * rho_inv * yHy + rho_inv) * np.outer(s, s)
+                - rho_inv * (s[:, None] * Hy + Hy[:, None] * s)
+                + (rho_inv * rho_inv * yHy + rho_inv) * (s[:, None] * s)
             )
             h_is_identity = False
         x, f, g, unit = x_new, f_new, g_new, unit_new
@@ -254,7 +254,7 @@ def _line_search(family, shape, x, f, g, rounding, direction):
     for _ in range(_LINESEARCH_CAP):
         candidate = np.clip(x + step_scale * direction, -1.0, 1.0)
         step = candidate - x
-        if not np.any(step):
+        if not step.any():
             return None
         slope = float(g @ step)
         try:

@@ -106,6 +106,16 @@ class TestEval:
         assert code == 2
         assert "error" in err.lower()
 
+    def test_huge_theta_exit_usage(self, capsys):
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(
+                ["eval", "--family", "matern52", "--theta", "1e200",
+                 "--points", "-0.5", "--points", "0.5"],
+                capsys,
+            )
+        assert code == 2
+        assert "matern52" in err and "1e+200" in err
+
     def test_unknown_family_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["eval", "--family", "cubic", "--theta", "1", "--points", "0"])

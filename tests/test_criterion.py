@@ -1,12 +1,16 @@
 """Criterion assembly: matrices, the integrated-variance value, the pointwise profile."""
 
+import re
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from imspe import (
     FAMILY_KINDS,
     CovarianceFamily,
     Design,
+    InvalidDesignError,
     InvalidHyperparameterError,
     SingularDesignError,
     build_correlation_matrix,
@@ -358,3 +362,104 @@ def test_value_and_gradient_share_the_bits_and_symmetries_of_imspe():
                 moved_value, moved_grad, _ = _value_and_gradient(fam, pts[order] * signs)
                 assert moved_value == value
                 assert np.array_equal(moved_grad, grad[order] * signs)
+
+
+def _scipy_factor(R):
+    # the scipy wrappers around dpotrf and dpotrs, with their own checks
+    cho = cho_factor(R, lower=True)
+    ones = np.ones(R.shape[0])
+    u = cho_solve(cho, ones)
+    return cho[0], u, float(u @ ones)
+
+
+def _scipy_solve(c, b):
+    return cho_solve((c, True), b)
+
+
+def _product_from_ones(factors):
+    out = np.ones_like(factors[0])
+    for factor in factors:
+        out = out * factor
+    return out
+
+
+def _leave_one_out_from_ones(factors):
+    ones = np.ones_like(factors[0])
+    before, after = [ones], [ones]
+    for factor in factors[:-1]:
+        before.append(before[-1] * factor)
+    for factor in factors[:0:-1]:
+        after.append(after[-1] * factor)
+    return [head * tail for head, tail in zip(before, reversed(after))]
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_lapack_core_has_the_bits_of_the_scipy_wrappers(kind, monkeypatch):
+    rng = np.random.default_rng(FAMILY_KINDS.index(kind))
+    cases = []
+    for d in (1, 2):
+        for n in (1, 2, 8, 32):
+            # one point per row and column stratum, theta growing with n:
+            # R stays positive definite at every size
+            strata = np.stack([rng.permutation(n) for _ in range(d)], axis=1)
+            pts = (strata + rng.uniform(0.2, 0.8, size=(n, d))) / n * 2.0 - 1.0
+            fam = CovarianceFamily(kind, n * rng.uniform(0.5, 2.0, size=d))
+            cases.append((fam, pts, imspe(fam, pts), _value_and_gradient(fam, pts)))
+    # rebuild every case on scipy's cho_factor and cho_solve, with products
+    # started from ones
+    monkeypatch.setattr(criterion, "_factor", _scipy_factor)
+    monkeypatch.setattr(criterion, "_solve", _scipy_solve)
+    monkeypatch.setattr(criterion, "_product", _product_from_ones)
+    monkeypatch.setattr(criterion, "_leave_one_out", _leave_one_out_from_ones)
+    for fam, pts, ev, (value, grad, unit) in cases:
+        rebuilt = imspe(fam, pts)
+        assert ev.value.hex() == rebuilt.value.hex()
+        for array, expected in ((ev.R, rebuilt.R), (ev.W, rebuilt.W), (ev.v, rebuilt.v)):
+            assert array.tobytes() == expected.tobytes()
+        rebuilt_value, rebuilt_grad, rebuilt_unit = _value_and_gradient(fam, pts)
+        assert value.hex() == rebuilt_value.hex()
+        assert grad.tobytes() == rebuilt_grad.tobytes()
+        assert unit == rebuilt_unit
+
+
+def test_coincident_points_name_the_leading_minor():
+    fam = CovarianceFamily("exponential", [1.0])
+    pts = np.array([[0.5], [0.5], [-0.25]])
+    for call in (imspe, _value_and_gradient, mspe_evaluator):
+        with pytest.raises(SingularDesignError) as info:
+            call(fam, pts)
+        message = str(info.value)
+        assert message.startswith("correlation matrix is not positive definite: ")
+        assert "2-th leading minor" in message
+
+
+@pytest.mark.parametrize("kind, theta", [("matern52", 1e200), ("matern32", 1e308)])
+def test_huge_theta_raises_invalid_hyperparameter(kind, theta):
+    # inf * 0 in the kernel and its averages makes W (and at 1e308 R) nan
+    fam = CovarianceFamily(kind, theta)
+    pts = np.array([[-0.5], [0.5]])
+    named = re.escape(kind) + ".*" + re.escape(repr(theta))
+    with np.errstate(all="ignore"):
+        for call in (imspe, _value_and_gradient):
+            with pytest.raises(InvalidHyperparameterError, match=named):
+                call(fam, pts)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "gaussian"])
+def test_huge_theta_is_finite_for_exponential_and_gaussian(kind):
+    with np.errstate(all="ignore"):
+        assert imspe_value(CovarianceFamily(kind, 1e308), [[-0.5], [0.5]]) == 1.5
+
+
+def test_mspe_profile_rejects_nonfinite_locations():
+    profile = mspe_evaluator(CovarianceFamily("gaussian", [1.0]), [-0.5, 0.5])
+    with pytest.raises(InvalidDesignError, match="locations must be finite"):
+        profile(np.nan)
+
+
+def test_nonfinite_single_average_is_caught(monkeypatch):
+    monkeypatch.setitem(criterion._SINGLE, "gaussian", lambda theta, col: np.full(col.shape, np.nan))
+    fam = CovarianceFamily("gaussian", [1.0])
+    for call in (imspe, _value_and_gradient):
+        with pytest.raises(InvalidHyperparameterError, match=r"\(v has inf or nan"):
+            call(fam, np.array([[-0.5], [0.5]]))

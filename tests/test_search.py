@@ -184,6 +184,31 @@ def test_local_search_prices_a_singular_trial_as_inf(monkeypatch):
     assert out.value == pytest.approx(1.2505061071319, rel=1e-11)
 
 
+def test_line_search_prices_a_coincident_trial_as_inf(monkeypatch):
+    exact = search._value_and_gradient
+    raised = []
+
+    def spy(family, points):
+        try:
+            return exact(family, points)
+        except SingularDesignError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(search, "_value_and_gradient", spy)
+    fam = CovarianceFamily("gaussian", [1.0])
+    x = np.array([-0.9, 0.1])
+    f, g, unit = search._evaluate(fam, x, (2, 1))
+    # the full step moves point 0 onto point 1; half of it is accepted
+    accepted = search._line_search(fam, (2, 1), x, f, g, unit, np.array([1.0, 0.0]))
+    assert raised == [
+        "correlation matrix is not positive definite: "
+        "2-th leading minor of the array is not positive definite"
+    ]
+    assert np.array_equal(accepted[0], [-0.4, 0.1])
+    assert accepted[1] < f
+
+
 def test_local_search_at_optimum_stays_put():
     fam = CovarianceFamily("gaussian", [1.0])
     start = Design([-0.5479848421867, 0.5479848421867])

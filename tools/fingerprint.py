@@ -9,6 +9,9 @@ sections' bytes in order:
     PYTHONPATH=src python3 tools/fingerprint.py
     PYTHONPATH=/path/to/other/checkout/src python3 tools/fingerprint.py
 
+The numpy, scipy and BLAS versions and ``OPENBLAS_NUM_THREADS`` go to
+standard error, so standard output holds the hashes alone.
+
 Hashed, in order:
 
 - ``imspe()`` on two designs per family, n in 1..19 and d in 1..6 (one
@@ -34,8 +37,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import sys
 
 import numpy as np
+import scipy
 
 from imspe import (
     FAMILY_KINDS,
@@ -200,7 +206,18 @@ def fingerprint():
     return [(name, digest.hexdigest()) for name, digest in sections], overall.hexdigest()
 
 
+def environment():
+    """One line naming the numpy, scipy and BLAS versions and the BLAS thread setting."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (
+        f"numpy {np.__version__}, scipy {scipy.__version__}, "
+        f"blas {blas.get('name')} {blas.get('version')}, "
+        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}"
+    )
+
+
 if __name__ == "__main__":
+    print(environment(), file=sys.stderr)
     parts, whole = fingerprint()
     for name, hexdigest in parts:
         print(f"{hexdigest}  {name}")
