@@ -56,7 +56,6 @@ _SEARCH_OPTIONS = (
     ("--seed", "seed", "multistart seed"),
     ("--starts", "starts", "number of starts"),
     ("--tol-opt", "optimality_tol", "projected-gradient infinity-norm convergence tolerance"),
-    ("--tol-feas", "feasibility_tol", "active-bound detection tolerance"),
     ("--max-iterations", "max_iterations", "iteration cap per start"),
 )
 

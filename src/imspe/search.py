@@ -18,6 +18,7 @@ searches return bit-identical results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -40,6 +41,8 @@ _WOLFE_DELTA = 0.1
 _ROUNDING_UNITS = 4
 _LINESEARCH_CAP = 60
 _CURVATURE_FLOOR = 1e-12
+# coordinates within this distance of a bound count as on it
+_FEASIBILITY_TOL = 1e-7
 _FD_STEP = 1e-6
 # converged designs within this infinity-norm distance count as one optimum
 _CLUSTER_TOL = 1e-5
@@ -50,19 +53,17 @@ class SearchConfig:
     """Knobs for the local descent and the multistart wrapper."""
 
     starts: int = 32
-    feasibility_tol: float = 1e-7
     optimality_tol: float = 1e-9
     max_iterations: int = 500
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        for name in ("feasibility_tol", "optimality_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("starts", "max_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
+        if not 0.0 < self.optimality_tol < math.inf:
+            raise ValueError("optimality_tol must be finite and positive")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -144,7 +145,7 @@ def fd_gradient(family, design):
     return grad
 
 
-def projected_gradient(x, g, feasibility_tol=1e-7):
+def projected_gradient(x, g):
     """Gradient with outward components dropped on active bounds.
 
     On the lower bound only negative components survive; on the upper bound
@@ -152,8 +153,8 @@ def projected_gradient(x, g, feasibility_tol=1e-7):
     box-constrained problem.
     """
     pg = np.array(g, dtype=float, copy=True)
-    lower = x <= -1.0 + feasibility_tol
-    upper = x >= 1.0 - feasibility_tol
+    lower = x <= -1.0 + _FEASIBILITY_TOL
+    upper = x >= 1.0 - _FEASIBILITY_TOL
     pg[lower] = np.minimum(pg[lower], 0.0)
     pg[upper] = np.maximum(pg[upper], 0.0)
     return pg
@@ -179,45 +180,46 @@ def local_search(family, start, config=DEFAULT_CONFIG):
         f, g, unit = _evaluate(family, x, shape)
     except SingularDesignError as exc:
         raise SingularDesignError("starting design has a singular correlation matrix") from exc
-    if not np.isfinite(g).all():
-        return LocalSearchResult(Design(x.reshape(shape)), f, False, 0, math.inf, "nonfinite_gradient")
-    H = np.eye(x.size)
-    h_is_identity = True
+    H = None  # the identity, until the first BFGS update is accepted
     iterations = 0
-    stop = "max_iterations"
-
-    for _ in range(config.max_iterations):
-        pg = projected_gradient(x, g, config.feasibility_tol)
-        if np.max(np.abs(pg)) <= config.optimality_tol:
+    while True:
+        if not np.isfinite(g).all():
+            stop, grad_norm = "nonfinite_gradient", math.inf
+            break
+        pg = projected_gradient(x, g)
+        grad_norm = float(np.max(np.abs(pg)))
+        if grad_norm <= config.optimality_tol:
             stop = "grad_tol"
+            break
+        if iterations == config.max_iterations:
+            stop = "max_iterations"
             break
         iterations += 1
 
-        direction = -projected_gradient(x, H @ g, config.feasibility_tol)
-        if float(direction @ g) >= 0.0 or not direction.any():
-            # quasi-Newton model broke down; restart from steepest descent
-            H = np.eye(x.size)
-            h_is_identity = True
+        if H is not None:
+            direction = -projected_gradient(x, H @ g)
+            if float(direction @ g) >= 0.0 or not direction.any():
+                # quasi-Newton model broke down; restart from steepest descent
+                H = None
+        if H is None:
             direction = -pg
 
         accepted = _line_search(family, shape, x, f, g, _ROUNDING_UNITS * unit, direction)
         if accepted is None:
-            if h_is_identity:
+            if H is None:
                 stop = "linesearch_stall"
                 break
             # stale quasi-Newton model; retry this iterate from steepest descent
-            H = np.eye(x.size)
-            h_is_identity = True
+            H = None
             continue
         x_new, f_new, g_new, unit_new = accepted
-        if not np.isfinite(g_new).all():
-            return LocalSearchResult(
-                Design(x_new.reshape(shape)), f_new, False, iterations, math.inf, "nonfinite_gradient"
-            )
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
+        # a non-finite g_new leaves H as it is, and the next pass stops on it
+        sy = float(s @ y) if np.isfinite(g_new).all() else math.nan
         if sy > _CURVATURE_FLOOR * (math.sqrt(float(s @ s)) * math.sqrt(float(y @ y))):
+            if H is None:
+                H = np.eye(x.size)
             rho_inv = 1.0 / sy
             Hy = H @ y
             yHy = float(y @ Hy)
@@ -226,12 +228,8 @@ def local_search(family, start, config=DEFAULT_CONFIG):
                 - rho_inv * (s[:, None] * Hy + Hy[:, None] * s)
                 + (rho_inv * rho_inv * yHy + rho_inv) * (s[:, None] * s)
             )
-            h_is_identity = False
         x, f, g, unit = x_new, f_new, g_new, unit_new
 
-    grad_norm = float(np.max(np.abs(projected_gradient(x, g, config.feasibility_tol))))
-    if grad_norm <= config.optimality_tol:
-        stop = "grad_tol"
     return LocalSearchResult(
         Design(x.reshape(shape)), f, stop == "grad_tol", iterations, grad_norm, stop
     )

@@ -207,6 +207,20 @@ class TestSearch:
         assert record["outputs"]["starts_converged"] == 0
         assert "no start converged" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tolerance_exit_usage_before_any_start(self, tol, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a start ran")
+
+        monkeypatch.setattr("imspe.cli.multistart_search", no_search)
+        code, out, err = run_cli(
+            ["search", "--family", "matern32", "--theta", "1", "--n", "2",
+             "--starts", "1", "--max-iterations", "3", "--tol-opt", tol],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "optimality_tol" in err
+
     def test_deterministic_records_modulo_timing(self, capsys):
         argv = ["search", "--family", "matern52", "--theta", "1",
                 "--n", "2", "--starts", "6", "--seed", "3"]

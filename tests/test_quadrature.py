@@ -15,6 +15,7 @@ from imspe import (
     integrate_pair,
     integrate_single,
     pair_integral,
+    rho,
     single_integral,
 )
 
@@ -48,6 +49,8 @@ def test_gaussian_single_matches_erf_identity():
         ("matern52", 10.0, -0.4, 0.4),
         ("exponential", 0.1, 0.9, -0.9),
         ("gaussian", 1.0, -0.7, 0.7),
+        # steep and near-coincident: a doubled rule diverged here
+        ("exponential", 58.65513694707694, 0.30230729473956175, 0.3075607452836615),
     ],
 )
 def test_pair_oracle_certifies_closed_form(kind, theta, a, b):
@@ -63,6 +66,7 @@ def test_pair_oracle_certifies_closed_form(kind, theta, a, b):
         ("matern52", 0.1, -0.6),
         ("exponential", 10.0, 0.0),
         ("gaussian", 10.0, 0.0),
+        ("exponential", 100.0, 0.3710839689613894),
     ],
 )
 def test_single_oracle_certifies_closed_form(kind, theta, a):
@@ -80,11 +84,13 @@ def test_pair_reflection_bit_exact():
 
 
 def test_refinement_is_self_consistent():
-    base = QuadratureSpec(nodes_per_panel=64)
-    fine = QuadratureSpec(nodes_per_panel=128)
-    v1 = integrate_pair("matern52", 5.0, 0.2, -0.8, spec=base)
-    v2 = integrate_pair("matern52", 5.0, 0.2, -0.8, spec=fine)
-    assert v1 == pytest.approx(v2, rel=1e-13)
+    # extra split points move most panels, and with them the nodes, at
+    # every level; the value must not depend on where the panels lie
+    def integrand(x):
+        return rho("matern52", 5.0, x - 0.2) * rho("matern52", 5.0, x + 0.8)
+
+    extra = average_over_domain(integrand, splits=(0.2, -0.8, -0.55, 0.1, 0.7))
+    assert extra == pytest.approx(integrate_pair("matern52", 5.0, 0.2, -0.8), rel=1e-13)
 
 
 def test_integrate_mspe_matches_reference_single_point():
@@ -122,28 +128,23 @@ def test_integrate_mspe_rejects_multidimensional_designs():
         integrate_mspe(fam, Design([[0.0, 0.0]]))
 
 
-@pytest.mark.xfail(strict=True, raises=OracleDivergenceError)
 def test_single_oracle_converges_for_a_steep_exponential():
-    # known oracle defect: successive refinements keep differing by ~1e-13
-    # up to 4096 nodes per panel (about 5 s), as at theta = 100; theta <= 50
-    # and the other three families at theta 80-100 converge. The closed form
-    # is within 4.9e-17 of a 40-digit mpmath value here; the error grows with
-    # leggauss above about 100 nodes (numpy tests it only up to degree 100)
+    # a doubled Gauss-Legendre rule never settled here (as at theta = 100):
+    # leggauss errs by 2e-13 to 4e-13 above about 100 nodes. The closed form
+    # is within 4.9e-17 of a 40-digit mpmath value
     theta, a = 80.2004294629232, 0.3710839689613894
     oracle = integrate_single("exponential", theta, a)
     assert float(single_integral("exponential", theta, a)) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_divergence_raises():
-    spec = QuadratureSpec(nodes_per_panel=2, max_doublings=0)
+    # the jump sits inside a panel at every level: 0.3 is no midpoint of
+    # any split of [-1, 1]
     with pytest.raises(OracleDivergenceError):
-        integrate_pair("gaussian", 10.0, 0.3, -0.4, spec=spec)
+        average_over_domain(lambda x: np.sign(x - 0.3))
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes_per_panel=1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rtol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_doublings=-1)
+    for rtol in (0.0, -1e-13, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            QuadratureSpec(rtol=rtol)

@@ -1,5 +1,7 @@
 """Gradients, local descent, and the deterministic multistart wrapper."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -323,10 +325,12 @@ def test_best_design_points_distinct():
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(starts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SearchConfig(optimality_tol=-1.0)
+    for count in (0, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SearchConfig(max_iterations=count)
+    for tol in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SearchConfig(optimality_tol=tol)
     with pytest.raises(ValueError):
         multistart_search(CovarianceFamily("gaussian", [1.0]), 0, 1)
 

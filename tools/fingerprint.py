@@ -28,7 +28,8 @@ Hashed, in order:
   ``integrate_single`` per family at theta in [0.1, 10], and
   ``integrate_mspe`` on ten d = 1 designs (or the error raised);
 - three ``multistart_search`` outcomes, two with d = 1 and one with d = 2:
-  values in hex, design bytes, converged starts and iterations;
+  values in hex, design bytes, converged starts and iterations, then every
+  start's stop reason, projected-gradient norm in hex and iteration count;
 - the ``imspe eval --diagnostics``, ``imspe search`` and
   ``imspe reproduce-tables --table 1`` JSON records without ``timing_ms``.
 """
@@ -146,6 +147,8 @@ def _searches(digest):
         for design, value in result.local_minima:
             digest.update(value.hex().encode())
             digest.update(design.points.tobytes())
+        for outcome in result.outcomes:
+            digest.update(f"{outcome.stop_reason} {outcome.grad_norm.hex()} {outcome.iterations}".encode())
 
 
 def _without_timing(record):
