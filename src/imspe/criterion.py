@@ -13,9 +13,11 @@ average of row i (tensor products over dimensions),
 
     imspe = 1 - tr(R^{-1} W) + (1 - 2 u'v + u'Wu) / (u'1),   u = R^{-1} 1.
 
-One pass over the axes yields the per-axis factors of R, W and v. The
-value and the search's exact gradient (``_value_and_gradient``) share those
-factors and one Cholesky factorization of R, made by LAPACK ``dpotrf``
+The per-axis factors of R, W and v come as (d, n, n), (d, n, n) and
+(d, n) stacks, from one call of each family's closed form on the stacked
+coordinate columns, and R, W and v are products over the stack. The value
+and the search's exact gradient (``_value_and_gradient``) share those
+stacks and one Cholesky factorization of R, made by LAPACK ``dpotrf``
 (``_factor``); every solve is one ``dpotrs`` call on that factor
 (``_solve``). These are the routines scipy's ``cho_factor`` and
 ``cho_solve`` wrap, called without the wrappers' per-call checks: R, W and v
@@ -130,29 +132,36 @@ def build_correlation_matrix(family, design):
     return cross_correlation(family, dsn.points, dsn.points)
 
 
-def _axis_factors(family, points):
-    """The d per-axis factors of each of R, W and v of checked (n, d) points, in one pass."""
+def _operands(family, points):
+    """Kind, theta, and the (d, n, 1) and (d, 1, n) coordinate stacks of checked (n, d) points.
+
+    One theta for all axes stays the scalar it is; one theta per axis is a
+    (d, 1, 1) stack. Either broadcasts over the stacks, so each closed form
+    runs once for all axes.
+    """
     th = family.theta_for_dimension(points.shape[1])
-    kind = family.kind
-    rho, pair, single = _RHO[kind], _PAIR[kind], _SINGLE[kind]
-    R_axes, W_axes, v_axes = [], [], []
-    for k, col in enumerate(points.T):
-        R_axes.append(rho(th[k], np.abs(col[:, None] - col[None, :])))
-        W_axes.append(pair(th[k], col[:, None], col[None, :]))
-        v_axes.append(single(th[k], col))
-    return R_axes, W_axes, v_axes
+    theta = th[0] if len(family.theta) == 1 else th[:, None, None]
+    # the closed forms run faster on a contiguous copy than on points.T
+    cols = np.ascontiguousarray(points.T)
+    return family.kind, theta, cols[:, :, None], cols[:, None, :]
 
 
-def _product(factors):
-    """Product of per-axis factors in axis order.
+def _axis_factors(kind, theta, col, row):
+    """Per-axis factors of R, W and v from ``_operands``: (d, n, n), (d, n, n) and (d, n) stacks."""
+    return (
+        _RHO[kind](theta, np.abs(col - row)),
+        _PAIR[kind](theta, col, row),
+        _SINGLE[kind](theta, col)[:, :, 0],
+    )
+
+
+def _product(stack):
+    """Product over a stack of per-axis factors, in axis order.
 
     It has the bits of ``cross_correlation``'s product from ones, as 1.0 * x == x;
-    with one factor it is that factor's own array.
+    with one axis it is that axis' own factor.
     """
-    out = factors[0]
-    for factor in factors[1:]:
-        out = out * factor
-    return out
+    return stack[0] if len(stack) == 1 else np.multiply.reduce(stack, axis=0)
 
 
 def _check_finite(family, **arrays):
@@ -166,21 +175,24 @@ def _check_finite(family, **arrays):
 
 
 def _assemble(family, points):
-    """Per-axis factors of checked (n, d) points and their finite products R, W and v."""
-    factors = _axis_factors(family, points)
+    """``_operands`` of checked (n, d) points, their factor stacks and finite products R, W and v."""
+    operands = _operands(family, points)
+    factors = _axis_factors(*operands)
     R, W, v = map(_product, factors)
     _check_finite(family, R=R, W=W, v=v)
-    return factors, R, W, v
+    return operands, factors, R, W, v
 
 
 def build_pair_matrix(family, design):
     """Symmetric n x n matrix of pair averages W_ij over the box (tensor product over axes)."""
-    return _product(_axis_factors(family, as_design(design).points)[1])
+    kind, theta, col, row = _operands(family, as_design(design).points)
+    return _product(_PAIR[kind](theta, col, row))
 
 
 def build_single_vector(family, design):
     """Length-n vector of single averages v_i over the box (tensor product over dimensions)."""
-    return _product(_axis_factors(family, as_design(design).points)[2])
+    kind, theta, col, _ = _operands(family, as_design(design).points)
+    return _product(_SINGLE[kind](theta, col)[:, :, 0])
 
 
 def _factor(R):
@@ -247,7 +259,7 @@ def imspe(family, design):
         points).
     """
     points = _canonical_form(as_design(design).points)[0]
-    R, W, v = _assemble(family, points)[1:]
+    R, W, v = _assemble(family, points)[2:]
     value = _value(*_factor(R), W, v)[0]
     return ImspeEvaluation(value=value, R=R, W=W, v=v)
 
@@ -263,21 +275,16 @@ def _value(c, u, denom, W, v):
     return math.fsum(terms), terms, RiW, uW
 
 
-def _leave_one_out(factors):
-    """For each k, the product of all factors but the k-th (ones for a lone factor).
+def _leave_one_out(stack):
+    """Stack whose k-th entry is the product of all factors but the k-th (ones for a lone factor).
 
     Factors before k multiply in axis order, those after k in reverse order,
     each from its first factor."""
-    if len(factors) == 1:
-        return [np.ones_like(factors[0])]
-    before = [factors[0]]  # before[k]: factors 0..k
-    for factor in factors[1:-1]:
-        before.append(before[-1] * factor)
-    after = [factors[-1]]  # after[k]: factors d-1 down to d-1-k
-    for factor in factors[-2:0:-1]:
-        after.append(after[-1] * factor)
-    inner = [head * tail for head, tail in zip(before[:-1], reversed(after[:-1]))]
-    return [after[-1], *inner, before[-1]]
+    if len(stack) == 1:
+        return np.ones_like(stack)
+    before = np.multiply.accumulate(stack[:-1], axis=0)  # before[k]: factors 0..k
+    after = np.multiply.accumulate(stack[:0:-1], axis=0)  # after[k]: factors d-1 down to d-1-k
+    return np.concatenate((after[-1:], before[:-1] * after[:-1][::-1], before[-1:]))
 
 
 def _value_and_gradient(family, points):
@@ -296,15 +303,16 @@ def _value_and_gradient(family, points):
         df/dR = R^{-1} W R^{-1} - (z u' + u z') / c + N uu' / c^2
 
     Coordinate x_ik enters row and column i of R and W and entry i of v,
-    each through its axis-k factor, so the chain rule contracts each axis
-    over rows against the product of the other axes' factors, in O(n^2 d).
+    each through its axis-k factor, so the chain rule contracts the stack of
+    per-axis slopes, times the stack of products of the other axes' factors,
+    over rows, for all axes at once, in O(n^2 d).
     A tied coordinate takes sign(0) = 0 in R, the mean of the one-sided
     slopes of the exponential kernel. Rows and signs are mapped back through
     the canonicalization. Raises SingularDesignError like ``imspe()``.
     """
     canonical, signs = _canonical_form(points)
-    n, d = canonical.shape
-    factors, R, W, v = _assemble(family, canonical)
+    n = canonical.shape[0]
+    (kind, theta, col, row), factors, R, W, v = _assemble(family, canonical)
     c, u, denom = _factor(R)
     value, terms, RiW, uW = _value(c, u, denom, W, v)
 
@@ -317,20 +325,16 @@ def _value_and_gradient(family, points):
     dv = -2.0 * u / denom
     RiWRi = _solve(c, RiW.T)
     dR = RiWRi - (z[:, None] * u + u[:, None] * z) / denom + numerator * uu / denom
-    th = family.theta_for_dimension(d)
-    kind = family.kind
+    gap = col - row
+    sR = _DRHO[kind](theta, np.abs(gap)) * np.sign(gap)
+    sW = _DPAIR[kind](theta, col, row)
+    sv = _dsingle(kind, theta, col)[:, :, 0]
     R_rest, W_rest, v_rest = map(_leave_one_out, factors)
-    grad = np.empty((n, d))
-    for k, col in enumerate(canonical.T):
-        gap = col[:, None] - col[None, :]
-        sR = _DRHO[kind](th[k], np.abs(gap)) * np.sign(gap)
-        sW = _DPAIR[kind](th[k], col[:, None], col[None, :])
-        sv = _dsingle(kind, th[k], col)
-        # R and W are symmetric, so row i and column i contribute alike
-        rows = (dR * sR * R_rest[k]).sum(axis=1) + (dW * sW * W_rest[k]).sum(axis=1)
-        grad[:, k] = 2.0 * rows + dv * sv * v_rest[k]
+    # R and W are symmetric, so row i and column i contribute alike
+    rows = (dR * sR * R_rest).sum(axis=2) + (dW * sW * W_rest).sum(axis=2)
+    grad = (2.0 * rows + dv * sv * v_rest).T
     flipped = points * signs
-    out = np.empty_like(grad)
+    out = np.empty(points.shape)
     out[np.lexsort(flipped.T[::-1])] = grad * signs
     return value, out, _EPS * math.fsum(abs(t) for t in terms)
 

@@ -128,6 +128,18 @@ def _pair_matern32(theta, a, b):
     return (stationary - 3.0 * symmetrize_plus(boundary, a, b)) / (24.0 * u)
 
 
+def _powers(s):
+    """s**2, s**3 and s**4, each raised by the scalar power.
+
+    numpy's power on arrays differs from the scalar one in the last bit on
+    some inputs, so a stack of per-axis s is raised one entry at a time: a
+    stack of axes keeps the bits of one axis at a time.
+    """
+    if np.ndim(s) == 0:
+        return s**2, s**3, s**4
+    return tuple(np.reshape([x**p for x in s.flat], s.shape) for p in (2, 3, 4))
+
+
 def _pair_matern52(theta, a, b):
     """Pair average for the nu = 5/2 Matern kernel.
 
@@ -144,6 +156,7 @@ def _pair_matern52(theta, a, b):
                   + 120 (1 + S + G) (2 + S) s^3 + 30 (1 + S + G)^2 s^4.
     """
     s = np.sqrt(5.0 * theta)
+    s2, s3, s4 = _powers(s)
     t = np.abs(b - a) * s
     c0, c1, c2, c3, c4, c5 = BESSEL_BRACKET_MATERN52
     stationary = (
@@ -159,7 +172,7 @@ def _pair_matern52(theta, a, b):
         p2 = 30.0 * (27.0 + 27.0 * ssum + 5.0 * ssum * ssum + 7.0 * prod)
         p3 = 120.0 * spg * (2.0 + ssum)
         p4 = 30.0 * spg * spg
-        poly = 945.0 + p1 * s + p2 * s**2 + p3 * s**3 + p4 * s**4
+        poly = 945.0 + p1 * s + p2 * s2 + p3 * s3 + p4 * s4
         return poly * np.exp(-s * (2.0 + ssum))
 
     return (stationary - symmetrize_plus(boundary, a, b)) / (1080.0 * s)
@@ -229,6 +242,7 @@ def _dpair_matern52(theta, a, b):
                                   + 60 p q (2 p + q) s^3 + 30 p^2 q^2 s^4.
     """
     s = np.sqrt(5.0 * theta)
+    s2, s3, s4 = _powers(s)
     t = np.abs(b - a) * s
     bracket = 105.0 + 105.0 * t + 45.0 * t**2 + 10.0 * t**3 + t**4
     stationary = -2.0 * s * (a - b) * bracket * np.exp(-t)
@@ -238,9 +252,9 @@ def _dpair_matern52(theta, a, b):
         poly = (
             270.0
             + (375.0 * p + 165.0 * q) * s
-            + 30.0 * (5.0 * p * p + 9.0 * pq + q * q) * s**2
-            + 60.0 * pq * (2.0 * p + q) * s**3
-            + 30.0 * pq * pq * s**4
+            + 30.0 * (5.0 * p * p + 9.0 * pq + q * q) * s2
+            + 60.0 * pq * (2.0 * p + q) * s3
+            + 30.0 * pq * pq * s4
         )
         return poly * np.exp(-s * (p + q))
 

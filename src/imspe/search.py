@@ -175,7 +175,7 @@ def local_search(family, start, config=DEFAULT_CONFIG):
     """
     dsn = as_design(start)
     shape = dsn.points.shape
-    x = np.clip(dsn.points.ravel(), -1.0, 1.0)
+    x = dsn.points.ravel()
     try:
         f, g, unit = _evaluate(family, x, shape)
     except SingularDesignError as exc:
@@ -187,7 +187,7 @@ def local_search(family, start, config=DEFAULT_CONFIG):
             stop, grad_norm = "nonfinite_gradient", math.inf
             break
         pg = projected_gradient(x, g)
-        grad_norm = float(np.max(np.abs(pg)))
+        grad_norm = float(abs(pg).max())
         if grad_norm <= config.optimality_tol:
             stop = "grad_tol"
             break
@@ -250,7 +250,7 @@ def _line_search(family, shape, x, f, g, rounding, direction):
     """
     step_scale = 1.0
     for _ in range(_LINESEARCH_CAP):
-        candidate = np.clip(x + step_scale * direction, -1.0, 1.0)
+        candidate = np.minimum(np.maximum(x + step_scale * direction, -1.0), 1.0)
         step = candidate - x
         if not step.any():
             return None

@@ -1,5 +1,6 @@
 """Criterion assembly: matrices, the integrated-variance value, the pointwise profile."""
 
+import math
 import re
 
 import numpy as np
@@ -420,6 +421,124 @@ def test_lapack_core_has_the_bits_of_the_scipy_wrappers(kind, monkeypatch):
         assert value.hex() == rebuilt_value.hex()
         assert grad.tobytes() == rebuilt_grad.tobytes()
         assert unit == rebuilt_unit
+
+
+def _per_axis_factors(family, points):
+    # reference: each closed form called once per axis, on that axis' theta
+    # and column, as the assembly ran before the axes were stacked
+    th = family.theta_for_dimension(points.shape[1])
+    rho, pair, single = (table[family.kind] for table in (criterion._RHO, criterion._PAIR, criterion._SINGLE))
+    R, W, v = [], [], []
+    for k, col in enumerate(points.T):
+        R.append(rho(th[k], np.abs(col[:, None] - col[None, :])))
+        W.append(pair(th[k], col[:, None], col[None, :]))
+        v.append(single(th[k], col))
+    return R, W, v
+
+
+def _per_axis_product(factors):
+    out = factors[0]
+    for factor in factors[1:]:
+        out = out * factor
+    return out
+
+
+def _per_axis_leave_one_out(factors):
+    if len(factors) == 1:
+        return [np.ones_like(factors[0])]
+    before = [factors[0]]
+    for factor in factors[1:-1]:
+        before.append(before[-1] * factor)
+    after = [factors[-1]]
+    for factor in factors[-2:0:-1]:
+        after.append(after[-1] * factor)
+    inner = [head * tail for head, tail in zip(before[:-1], reversed(after[:-1]))]
+    return [after[-1], *inner, before[-1]]
+
+
+def _per_axis_evaluation(family, points):
+    """Value, R, W, v, gradient and rounding unit, assembled and contracted one axis at a time."""
+    canonical, signs = _canonical_form(points)
+    n, d = canonical.shape
+    factors = _per_axis_factors(family, canonical)
+    R, W, v = map(_per_axis_product, factors)
+    c, u, denom = criterion._factor(R)
+    value, terms, RiW, uW = criterion._value(c, u, denom, W, v)
+    Rinv = criterion._solve(c, np.eye(n))
+    uu = u[:, None] * u / denom
+    numerator = 1.0 - 2.0 * float(u @ v) + float(uW @ u)
+    z = Rinv @ (uW - v)
+    dW = uu - Rinv
+    dv = -2.0 * u / denom
+    dR = criterion._solve(c, RiW.T) - (z[:, None] * u + u[:, None] * z) / denom + numerator * uu / denom
+    th = family.theta_for_dimension(d)
+    kind = family.kind
+    R_rest, W_rest, v_rest = map(_per_axis_leave_one_out, factors)
+    grad = np.empty((n, d))
+    for k, col in enumerate(canonical.T):
+        gap = col[:, None] - col[None, :]
+        sR = criterion._DRHO[kind](th[k], np.abs(gap)) * np.sign(gap)
+        sW = criterion._DPAIR[kind](th[k], col[:, None], col[None, :])
+        sv = integrals._dsingle(kind, th[k], col)
+        rows = (dR * sR * R_rest[k]).sum(axis=1) + (dW * sW * W_rest[k]).sum(axis=1)
+        grad[:, k] = 2.0 * rows + dv * sv * v_rest[k]
+    out = np.empty_like(grad)
+    out[np.lexsort((points * signs).T[::-1])] = grad * signs
+    return value, R, W, v, out, criterion._EPS * math.fsum(abs(t) for t in terms)
+
+
+def test_stacked_axes_have_the_bits_of_one_axis_at_a_time():
+    rng = np.random.default_rng(10)
+    for kind in FAMILY_KINDS:
+        for d in range(1, 11):
+            anisotropic = rng.uniform(0.5, 5.0, size=d)
+            for n in range(1, 17):
+                grid = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, d))  # ties, zeros
+                pts = np.where(rng.random((n, d)) < 0.5, grid, rng.uniform(-1.0, 1.0, size=(n, d)))
+                for fam in (CovarianceFamily(kind, anisotropic), CovarianceFamily(kind, anisotropic[0])):
+                    try:
+                        expected = _per_axis_evaluation(fam, pts)
+                    except SingularDesignError:
+                        for call in (imspe, _value_and_gradient):
+                            with pytest.raises(SingularDesignError):
+                                call(fam, pts)
+                        continue
+                    ev = imspe(fam, pts)
+                    value, grad, unit = _value_and_gradient(fam, pts)
+                    ref_value, ref_R, ref_W, ref_v, ref_grad, ref_unit = expected
+                    assert ev.value.hex() == value.hex() == ref_value.hex()
+                    for array, reference in ((ev.R, ref_R), (ev.W, ref_W), (ev.v, ref_v), (grad, ref_grad)):
+                        assert array.tobytes() == reference.tobytes()
+                    assert unit.hex() == ref_unit.hex()
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 10])
+def test_each_closed_form_runs_once_for_all_axes(d, monkeypatch):
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    rng = np.random.default_rng(d)
+    pts = rng.uniform(-1.0, 1.0, size=(5, d))
+    tables = {"rho": criterion._RHO, "pair": criterion._PAIR, "single": criterion._SINGLE,
+              "drho": criterion._DRHO, "dpair": criterion._DPAIR}
+    monkeypatch.setattr(criterion, "_dsingle", counting("dsingle", criterion._dsingle))
+    for kind in FAMILY_KINDS:
+        for name, table in tables.items():
+            monkeypatch.setitem(table, kind, counting(name, table[kind]))
+        for theta in (2.0, rng.uniform(0.5, 5.0, size=d)):
+            fam = CovarianceFamily(kind, theta)
+            calls.clear()
+            criterion._axis_factors(*criterion._operands(fam, pts))
+            assert calls == {"rho": 1, "pair": 1, "single": 1}
+            calls.clear()
+            _value_and_gradient(fam, pts)
+            # the one _dsingle call takes rho at 1 + a and at 1 - a
+            assert calls == {"rho": 3, "pair": 1, "single": 1, "drho": 1, "dpair": 1, "dsingle": 1}
 
 
 def test_coincident_points_name_the_leading_minor():

@@ -14,9 +14,13 @@ standard error, so standard output holds the hashes alone.
 
 Hashed, in order:
 
-- ``imspe()`` on two designs per family, n in 1..19 and d in 1..6 (one
-  uniform, one with tied and zero coordinates), at random anisotropic theta:
-  the value in hex and the bytes of R, W and v, or the error raised;
+- ``imspe()`` on three designs per family, n in 1..19 and d in 1..6, 8 and
+  10: one uniform and one with tied and zero coordinates at random
+  anisotropic theta, and one with tied and zero coordinates at one random
+  theta for all axes; the value in hex and the bytes of R, W and v, or the
+  error raised;
+- the search's ``_value_and_gradient`` on the same designs: the value, the
+  gradient bytes and the rounding unit in hex, or the error raised;
 - on the same designs, in input order: the bytes of
   ``build_correlation_matrix``, ``build_pair_matrix`` and
   ``build_single_vector``, ``correlation`` in hex on every pair of rows,
@@ -63,17 +67,23 @@ from imspe import (
     single_integral,
 )
 from imspe.cli import main
+from imspe.criterion import _value_and_gradient
 
 
 def _designs(rng):
     for kind in FAMILY_KINDS:
         for n in range(1, 20):
-            for d in range(1, 7):
+            for d in (*range(1, 7), 8, 10):
                 theta = np.round(rng.uniform(0.5, 5.0, size=d), 3).tolist()
                 yield kind, theta, rng.uniform(-1.0, 1.0, size=(n, d))
-                grid = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, d))
-                jitter = rng.uniform(-1.0, 1.0, size=(n, d))
-                yield kind, theta, np.where(rng.random((n, d)) < 0.5, grid, jitter)
+                yield kind, theta, _tied(rng, n, d)
+                yield kind, theta[:1], _tied(rng, n, d)
+
+
+def _tied(rng, n, d):
+    grid = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, d))
+    jitter = rng.uniform(-1.0, 1.0, size=(n, d))
+    return np.where(rng.random((n, d)) < 0.5, grid, jitter)
 
 
 def _update_error(digest, exc):
@@ -90,6 +100,17 @@ def _evaluations(digest, designs):
         digest.update(ev.value.hex().encode())
         for array in (ev.R, ev.W, ev.v):
             digest.update(array.tobytes())
+
+
+def _gradients(digest, designs):
+    for kind, theta, points in designs:
+        try:
+            value, grad, unit = _value_and_gradient(CovarianceFamily(kind, theta), points)
+        except ImspeError as exc:
+            _update_error(digest, exc)
+            continue
+        digest.update(f"{value.hex()} {unit.hex()}".encode())
+        digest.update(grad.tobytes())
 
 
 def _assemblies(digest, designs):
@@ -200,6 +221,7 @@ def fingerprint():
 
     designs = list(_designs(np.random.default_rng(20171)))
     _evaluations(section("evaluations"), designs)
+    _gradients(section("gradients"), designs)
     _assemblies(section("assemblies"), designs)
     _anchor_batches(section("anchor batches"), np.random.default_rng(20172))
     _oracles(section("oracles"), np.random.default_rng(20173))
