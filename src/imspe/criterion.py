@@ -14,8 +14,9 @@ average of row i (tensor products over dimensions),
     imspe = 1 - tr(R^{-1} W) + (1 - 2 u'v + u'Wu) / (u'1),   u = R^{-1} 1.
 
 The per-axis factors of R, W and v come as (d, n, n), (d, n, n) and
-(d, n) stacks, from one call of each family's closed form on the stacked
-coordinate columns, and R, W and v are products over the stack. The value
+(d, n) stacks, from one call of each family's closed form on the
+coordinate stacks of ``kernels._operands``, and ``kernels._product`` takes
+R, W and v over the axes, as ``cross_correlation`` does. The value
 and the search's exact gradient (``_value_and_gradient``) share those
 stacks and one Cholesky factorization of R, made by LAPACK ``dpotrf``
 (``_factor``); every solve is one ``dpotrs`` call on that factor
@@ -39,7 +40,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .errors import InvalidDesignError, InvalidHyperparameterError, SingularDesignError
 # pair_integral and single_integral are re-exported: bench/spans.py traces them here
 from .integrals import _DPAIR, _PAIR, _SINGLE, _dsingle, pair_integral, single_integral  # noqa: F401
-from .kernels import _DRHO, _RHO, as_design, cross_correlation
+from .kernels import _DRHO, _correlations, _operands, _product, as_design, cross_correlation
 
 _EPS = float(np.finfo(float).eps)
 
@@ -132,36 +133,13 @@ def build_correlation_matrix(family, design):
     return cross_correlation(family, dsn.points, dsn.points)
 
 
-def _operands(family, points):
-    """Kind, theta, and the (d, n, 1) and (d, 1, n) coordinate stacks of checked (n, d) points.
-
-    One theta for all axes stays the scalar it is; one theta per axis is a
-    (d, 1, 1) stack. Either broadcasts over the stacks, so each closed form
-    runs once for all axes.
-    """
-    th = family.theta_for_dimension(points.shape[1])
-    theta = th[0] if len(family.theta) == 1 else th[:, None, None]
-    # the closed forms run faster on a contiguous copy than on points.T
-    cols = np.ascontiguousarray(points.T)
-    return family.kind, theta, cols[:, :, None], cols[:, None, :]
-
-
 def _axis_factors(kind, theta, col, row):
     """Per-axis factors of R, W and v from ``_operands``: (d, n, n), (d, n, n) and (d, n) stacks."""
     return (
-        _RHO[kind](theta, np.abs(col - row)),
+        _correlations(kind, theta, col, row),
         _PAIR[kind](theta, col, row),
         _SINGLE[kind](theta, col)[:, :, 0],
     )
-
-
-def _product(stack):
-    """Product over a stack of per-axis factors, in axis order.
-
-    It has the bits of ``cross_correlation``'s product from ones, as 1.0 * x == x;
-    with one axis it is that axis' own factor.
-    """
-    return stack[0] if len(stack) == 1 else np.multiply.reduce(stack, axis=0)
 
 
 def _check_finite(family, **arrays):

@@ -10,7 +10,10 @@ positive length-scale parameter theta:
 
 Multidimensional correlation is the anisotropic tensor product of the
 one-dimensional function over coordinates, with a separate theta per
-dimension if desired.
+dimension if desired. ``cross_correlation`` and the criterion's assembly
+take every product over coordinates alike: ``_operands`` stacks the
+coordinate columns, one closed-form call covers all axes, and ``_product``
+multiplies the stack over them.
 """
 
 from __future__ import annotations
@@ -112,8 +115,7 @@ def rho(kind, theta, h):
         Correlation value(s) in (0, 1], with rho(0) = 1 exactly.
     """
     validate_kind(kind)
-    validate_theta(theta)
-    return _RHO[kind](theta, np.abs(h))
+    return _RHO[kind](validate_theta(theta), np.abs(h))
 
 
 @dataclass(frozen=True)
@@ -199,11 +201,32 @@ def correlation(family, x, y):
     evaluated without ceremony. Returns a float in (0, 1], equal to 1.0
     exactly when x == y coordinatewise.
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise InvalidDesignError("x and y must be coordinate vectors of equal length")
-    return float(cross_correlation(family, xa[None, :], ya[None, :])[0, 0])
+    return float(cross_correlation(family, [x], [y])[0, 0])
+
+
+def _operands(family, points, other=None):
+    """Kind, theta, and the (d, n, 1) and (d, 1, m) column stacks of checked points.
+
+    ``other`` (m, d) defaults to ``points`` (n, d), whose columns are then
+    copied once. One theta for all axes stays a scalar and one theta per
+    axis is a (d, 1, 1) stack; either broadcasts over the columns.
+    """
+    theta = (np.float64(family.theta[0]) if len(family.theta) == 1
+             else family.theta_for_dimension(points.shape[1])[:, None, None])
+    # the closed forms run faster on a contiguous copy than on points.T
+    cols = np.ascontiguousarray(points.T)
+    rows = cols if other is None else np.ascontiguousarray(other.T)
+    return family.kind, theta, cols[:, :, None], rows[:, None, :]
+
+
+def _correlations(kind, theta, col, row):
+    """Per-axis correlation factors of ``_operands``' stacks, a (d, n, m) stack."""
+    return _RHO[kind](theta, np.abs(col - row))
+
+
+def _product(stack):
+    """Product over the axes of a (d, ...) stack, in axis order; one axis is its own factor."""
+    return stack[0] if len(stack) == 1 else np.multiply.reduce(stack, axis=0)
 
 
 def cross_correlation(family, points, other):
@@ -223,9 +246,4 @@ def cross_correlation(family, points, other):
     oth = _as_points(other)
     if pts.shape[1] != oth.shape[1]:
         raise InvalidDesignError("point sets must share a dimension")
-    th = family.theta_for_dimension(pts.shape[1])
-    fn = _RHO[family.kind]
-    out = np.ones((pts.shape[0], oth.shape[0]))
-    for k in range(pts.shape[1]):
-        out *= fn(th[k], np.abs(pts[:, k, None] - oth[None, :, k]))
-    return out
+    return _product(_correlations(*_operands(family, pts, oth)))

@@ -64,6 +64,8 @@ class SearchConfig:
                 raise ValueError(f"{name} must be an integer of at least 1")
         if not 0.0 < self.optimality_tol < math.inf:
             raise ValueError("optimality_tol must be finite and positive")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -292,7 +294,7 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
     converge, ``best_design`` and ``best_imspe`` are None and callers decide
     how loudly to fail. Bad n, d or theta count raise before any start.
     """
-    if n < 1 or d < 1:
+    if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (n, d)):
         raise ValueError("need n >= 1 points and d >= 1 dimensions")
     family.theta_for_dimension(d)
     rng = np.random.default_rng(config.seed)

@@ -25,7 +25,7 @@ from imspe import (
     pair_integral,
     single_integral,
 )
-from imspe import criterion, integrals
+from imspe import criterion, integrals, kernels
 from imspe.criterion import _canonical_form, _value_and_gradient, sorted_rows
 
 THETAS = (0.1, 1.0, 10.0)
@@ -38,6 +38,18 @@ def test_correlation_matrix_structure():
     assert np.array_equal(np.diag(R), np.ones(3))
     assert np.array_equal(R, R.T)
     assert R[0, 2] == correlation(fam, [-0.5], [0.75])
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_correlation_matrix_has_the_bits_of_the_assembled_R(kind):
+    rng = np.random.default_rng(11)
+    for d in range(1, 11):
+        theta = rng.uniform(0.5, 5.0, size=d)
+        # at canonical points imspe() assembles R on the points as given
+        points = _canonical_form(rng.uniform(-1.0, 1.0, size=(6, d)))[0]
+        for fam in (CovarianceFamily(kind, theta), CovarianceFamily(kind, theta[:1])):
+            R = build_correlation_matrix(fam, points)
+            assert R.tobytes() == imspe(fam, points).R.tobytes()
 
 
 def test_pair_matrix_symmetric_and_matches_entries():
@@ -427,7 +439,7 @@ def _per_axis_factors(family, points):
     # reference: each closed form called once per axis, on that axis' theta
     # and column, as the assembly ran before the axes were stacked
     th = family.theta_for_dimension(points.shape[1])
-    rho, pair, single = (table[family.kind] for table in (criterion._RHO, criterion._PAIR, criterion._SINGLE))
+    rho, pair, single = (table[family.kind] for table in (kernels._RHO, criterion._PAIR, criterion._SINGLE))
     R, W, v = [], [], []
     for k, col in enumerate(points.T):
         R.append(rho(th[k], np.abs(col[:, None] - col[None, :])))
@@ -524,7 +536,7 @@ def test_each_closed_form_runs_once_for_all_axes(d, monkeypatch):
 
     rng = np.random.default_rng(d)
     pts = rng.uniform(-1.0, 1.0, size=(5, d))
-    tables = {"rho": criterion._RHO, "pair": criterion._PAIR, "single": criterion._SINGLE,
+    tables = {"rho": kernels._RHO, "pair": criterion._PAIR, "single": criterion._SINGLE,
               "drho": criterion._DRHO, "dpair": criterion._DPAIR}
     monkeypatch.setattr(criterion, "_dsingle", counting("dsingle", criterion._dsingle))
     for kind in FAMILY_KINDS:

@@ -118,6 +118,38 @@ def test_cross_correlation_matches_pointwise():
     for i in range(3):
         for j in range(2):
             assert mat[i, j] == correlation(fam, pts[i], other[j])
+    for x, y in (([0.1, 0.2], [0.3]), ([[0.1], [0.2]], [[0.1], [0.2]])):
+        with pytest.raises(InvalidDesignError):
+            correlation(fam, x, y)
+
+
+def _per_axis_cross_correlation(family, points, other):
+    # reference: one kernel call per axis, multiplied into a matrix of ones
+    th = family.theta_for_dimension(points.shape[1])
+    out = np.ones((points.shape[0], other.shape[0]))
+    for k in range(points.shape[1]):
+        out *= rho(family.kind, th[k], points[:, k, None] - other[None, :, k])
+    return out
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_cross_correlation_has_the_bits_of_a_per_axis_product(kind):
+    rng = np.random.default_rng(7)
+    for d in range(1, 11):
+        pts = rng.uniform(-1.0, 1.0, size=(5, d))
+        other = rng.uniform(-1.0, 1.0, size=(3, d))
+        theta = rng.uniform(0.1, 10.0, size=d)
+        for fam in (CovarianceFamily(kind, theta), CovarianceFamily(kind, theta[:1])):
+            expected = _per_axis_cross_correlation(fam, pts, other)
+            assert cross_correlation(fam, pts, other).tobytes() == expected.tobytes()
+            assert cross_correlation(fam, other, pts).tobytes() == expected.T.copy().tobytes()
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_rho_takes_a_list_theta_like_its_array(kind):
+    grid = np.linspace(-2.0, 2.0, 41)
+    for theta, h in (([1.0, 2.0], 0.3), ([0.3], grid), ([[1.0], [2.0]], grid)):
+        assert rho(kind, theta, h).tobytes() == rho(kind, np.array(theta), h).tobytes()
 
 
 def test_theta_broadcast_and_anisotropy_mismatch():

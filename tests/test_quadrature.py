@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from imspe import integrals, kernels
+
 from imspe import (
     CovarianceFamily,
     Design,
@@ -81,6 +83,24 @@ def test_pair_reflection_bit_exact():
         assert integrate_pair(kind, 2.0, 0.35, -0.6) == integrate_pair(
             kind, 2.0, -0.35, 0.6
         )
+
+
+def test_kernel_oracles_check_theta_once(monkeypatch):
+    calls = []
+    original = kernels.validate_theta
+
+    def counting(theta):
+        calls.append(theta)
+        return original(theta)
+
+    # integrals binds its own name for the checker, so both places are counted
+    monkeypatch.setattr(integrals, "validate_theta", counting)
+    monkeypatch.setattr(kernels, "validate_theta", counting)
+    integrate_pair("matern52", 2.0, 0.3, -0.2)
+    assert len(calls) == 1
+    calls.clear()
+    integrate_single("matern52", 2.0, 0.3)
+    assert len(calls) == 1
 
 
 def test_refinement_is_self_consistent():

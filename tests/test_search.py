@@ -331,8 +331,22 @@ def test_config_validation():
     for tol in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             SearchConfig(optimality_tol=tol)
+    # None would draw fresh OS entropy and break determinism
+    for seed in (None, -1, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(seed=seed)
     with pytest.raises(ValueError):
         multistart_search(CovarianceFamily("gaussian", [1.0]), 0, 1)
+
+
+def test_multistart_rejects_non_integer_sizes_before_drawing_starts(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(search, "_generate_starts", lambda *args: drawn.append(args) or [])
+    fam = CovarianceFamily("gaussian", [1.0])
+    for n, d in ((2.5, 1), (3, 1.0)):
+        with pytest.raises(ValueError, match="need n >= 1 points and d >= 1 dimensions"):
+            multistart_search(fam, n, d)
+    assert drawn == []
 
 
 def test_multistart_checks_theta_count_before_drawing_starts(monkeypatch):

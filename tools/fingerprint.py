@@ -26,6 +26,10 @@ Hashed, in order:
   ``build_single_vector``, ``correlation`` in hex on every pair of rows,
   then the ``mspe_evaluator`` profile at seven fixed abscissae (or the
   error raised);
+- ``cross_correlation`` between three pairs of distinct point sets per
+  family and d in 1..10 (n and m in 1..32, n != m), at anisotropic theta
+  and at one theta for all axes, and ``rho`` on a grid of 401 offsets in
+  [-2, 2] at three scalar thetas per family;
 - one batch of 1000 anchors per family through ``pair_integral`` and
   ``single_integral``, box edges and the centre included;
 - 48 quadrature-oracle values in hex, six ``integrate_pair`` and six
@@ -57,6 +61,7 @@ from imspe import (
     build_pair_matrix,
     build_single_vector,
     correlation,
+    cross_correlation,
     imspe,
     integrate_mspe,
     integrate_pair,
@@ -64,6 +69,7 @@ from imspe import (
     mspe_evaluator,
     multistart_search,
     pair_integral,
+    rho,
     single_integral,
 )
 from imspe.cli import main
@@ -127,6 +133,21 @@ def _assemblies(digest, designs):
             digest.update(mspe_evaluator(family, points)(abscissae).tobytes())
         except ImspeError as exc:
             _update_error(digest, exc)
+
+
+def _cross_correlations(digest, rng):
+    for kind in FAMILY_KINDS:
+        for d in [*range(1, 11)] * 3:
+            n, m = rng.choice(np.arange(1, 33), size=2, replace=False)
+            points = rng.uniform(-1.0, 1.0, size=(n, d))
+            other = rng.uniform(-1.0, 1.0, size=(m, d))
+            theta = rng.uniform(0.1, 10.0, size=d).tolist()
+            for family_theta in (theta, theta[:1]):
+                family = CovarianceFamily(kind, family_theta)
+                digest.update(cross_correlation(family, points, other).tobytes())
+        offsets = np.linspace(-2.0, 2.0, 401)
+        for theta in rng.uniform(0.01, 100.0, size=3):
+            digest.update(rho(kind, float(theta), offsets).tobytes())
 
 
 def _anchor_batches(digest, rng):
@@ -223,6 +244,7 @@ def fingerprint():
     _evaluations(section("evaluations"), designs)
     _gradients(section("gradients"), designs)
     _assemblies(section("assemblies"), designs)
+    _cross_correlations(section("cross correlations"), np.random.default_rng(20174))
     _anchor_batches(section("anchor batches"), np.random.default_rng(20172))
     _oracles(section("oracles"), np.random.default_rng(20173))
     _searches(section("searches"))
