@@ -64,9 +64,10 @@ class ImspeEvaluation:
         return float(np.linalg.cond(self.R))
 
 
-def sorted_rows(points):
-    """Rows of an (n, d) array in lexicographic order, first column most significant."""
-    return points.take(np.lexsort(points.T[::-1]), axis=0)
+def _sort_rows(points):
+    """Rows of an (n, d) array in lexicographic order, first column first, and that order."""
+    order = np.lexsort(points.T[::-1])
+    return points.take(order, axis=0), order
 
 
 def _mirrors_itself(variant):
@@ -77,14 +78,15 @@ def _mirrors_itself(variant):
 
 
 def _canonical_form(points):
-    """Canonical points of an (n, d) array and the per-axis signs s behind them.
+    """Canonical points of an (n, d) array, and the row order and per-axis signs s behind them.
 
-    The canonical points are ``sorted_rows(points * s)``.
+    The canonical points are ``(points * s)[order]``, the rows of
+    ``points * s`` sorted by ``_sort_rows``.
     """
     # evaluating one representative per orbit under row permutation and
     # per-axis reflection makes both invariances exact (sign flips and row
     # moves are exact on binary64): the smallest flattened
-    # sorted_rows(points * s) over sign vectors s, ties to the least flip
+    # _sort_rows(points * s) over sign vectors s, ties to the least flip
     # mask (bit k set when axis k is negated). It grows row by row: the next
     # row is the smallest any unplaced row can become (-|x| on an axis whose
     # sign is free, +1 until fixed) and fixes its nonzero axes; tied rows
@@ -104,25 +106,25 @@ def _canonical_form(points):
         ]
         if len(grown) == 1:
             s, rest, i = grown[0]
-            merged = [(sorted_rows(points * s), s, rest, i)]
+            merged = [(*_sort_rows(points * s), s, rest, i)]
         else:
             grown.sort(key=lambda branch: [v < 0.0 for v in reversed(branch[0])])
             keyed, mirrored = {}, set()
             for s, rest, i in grown:
                 if tuple(s) in mirrored:
                     continue
-                variant = sorted_rows(points * s)
-                keyed.setdefault((variant + 0.0).tobytes(), (variant, s, rest, i))
+                variant, order = _sort_rows(points * s)
+                keyed.setdefault((variant + 0.0).tobytes(), (variant, order, s, rest, i))
                 if _mirrors_itself(variant):
                     mirrored.add(tuple(-v for v in s))
             merged = list(keyed.values())
         free = [f and x == 0.0 for f, x in zip(free, head)]
         if not any(free) or not points[:, free].any():
             if len(merged) == 1:
-                return merged[0][:2]
-            return min(merged, key=lambda entry: entry[0].ravel().tolist())[:2]
+                return merged[0][:3]
+            return min(merged, key=lambda entry: entry[0].ravel().tolist())[:3]
         branches = []
-        for _, s, rest, i in merged:
+        for _, _, s, rest, i in merged:
             rest = [j for j in rest if j != i]
             branches.append((s, rest, np.where(free, neg[rest], points[rest] * s).tolist()))
 
@@ -243,14 +245,14 @@ def imspe(family, design):
 
 
 def _value(c, u, denom, W, v):
-    """The criterion from ``_factor(R)``, W and v, with its five terms, R^{-1} W and u'W."""
+    """The criterion from ``_factor(R)``, W and v; its five terms; R^{-1} W, u'W, u'v and u'Wu."""
     RiW = _solve(c, W)
     uW = u @ W
     lin = float(u @ v)
     quad = float(uW @ u)
     terms = (1.0, -float(np.trace(RiW)), 1.0 / denom, -2.0 * lin / denom, quad / denom)
     # exact summation keeps the n = 1 identity value == 2 - 2 v[0] bit-exact
-    return math.fsum(terms), terms, RiW, uW
+    return math.fsum(terms), terms, RiW, uW, lin, quad
 
 
 def _leave_one_out(stack):
@@ -288,16 +290,16 @@ def _value_and_gradient(family, points):
     slopes of the exponential kernel. Rows and signs are mapped back through
     the canonicalization. Raises SingularDesignError like ``imspe()``.
     """
-    canonical, signs = _canonical_form(points)
+    canonical, order, signs = _canonical_form(points)
     n = canonical.shape[0]
     (kind, theta, col, row), factors, R, W, v = _assemble(family, canonical)
     c, u, denom = _factor(R)
-    value, terms, RiW, uW = _value(c, u, denom, W, v)
+    value, terms, RiW, uW, lin, quad = _value(c, u, denom, W, v)
 
     # the value above used solves only; the adjoint needs R^{-1} itself
     Rinv = _solve(c, np.eye(n))
     uu = u[:, None] * u / denom
-    numerator = 1.0 - 2.0 * float(u @ v) + float(uW @ u)
+    numerator = 1.0 - 2.0 * lin + quad
     z = Rinv @ (uW - v)
     dW = uu - Rinv
     dv = -2.0 * u / denom
@@ -311,9 +313,8 @@ def _value_and_gradient(family, points):
     # R and W are symmetric, so row i and column i contribute alike
     rows = (dR * sR * R_rest).sum(axis=2) + (dW * sW * W_rest).sum(axis=2)
     grad = (2.0 * rows + dv * sv * v_rest).T
-    flipped = points * signs
     out = np.empty(points.shape)
-    out[np.lexsort(flipped.T[::-1])] = grad * signs
+    out[order] = grad * signs
     return value, out, _EPS * math.fsum(abs(t) for t in terms)
 
 

@@ -23,3 +23,12 @@ class SingularDesignError(ImspeError):
 
 class OracleDivergenceError(ImspeError):
     """Raised when the quadrature oracle fails to reach its tolerance within its refinement budget."""
+
+
+__all__ = [
+    "ImspeError",
+    "InvalidDesignError",
+    "InvalidHyperparameterError",
+    "OracleDivergenceError",
+    "SingularDesignError",
+]

@@ -247,3 +247,14 @@ def cross_correlation(family, points, other):
     if pts.shape[1] != oth.shape[1]:
         raise InvalidDesignError("point sets must share a dimension")
     return _product(_correlations(*_operands(family, pts, oth)))
+
+
+__all__ = [
+    "FAMILY_KINDS",
+    "CovarianceFamily",
+    "Design",
+    "as_design",
+    "correlation",
+    "cross_correlation",
+    "rho",
+]

@@ -7,19 +7,21 @@ fixed Gauss-Legendre rule and is split at its midpoint until two successive
 refinements agree to a relative tolerance, which certifies the closed forms
 to near machine precision without Monte Carlo noise. All summation goes
 through math.fsum, so results do not depend on panel order. Arguments are
-checked once, on entry; the integrands evaluate the kernel unchecked.
+checked once, on entry: the kernel oracles take one theta and single-valued
+anchors, and their integrands evaluate the kernel unchecked.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criterion import mspe_evaluator
-from .errors import OracleDivergenceError
+from .errors import InvalidHyperparameterError, OracleDivergenceError
 from .integrals import _validate_args
 # rho is unused here but stays bound: bench/spans.py looks it up on this module to trace it
 from .kernels import _RHO, as_design, rho  # noqa: F401
@@ -93,30 +95,38 @@ def average_over_domain(func, splits=(), spec=DEFAULT_SPEC):
     )
 
 
+def _average_of_product(kind, theta, spec, **anchors):
+    """(1/2) * int of the product of rho(|p - x|) over the anchors p, in order, on [-1, 1].
+
+    The one entry of both kernel oracles: theta and each anchor must be a
+    single value, checked once here. Panels split at the anchors.
+    """
+    checked, *points = _validate_args(kind, theta, *anchors.values())
+    if checked.size != 1:
+        raise InvalidHyperparameterError(f"the quadrature oracle takes one theta, got {theta!r}")
+    for (name, value), point in zip(anchors.items(), points):
+        if point.size != 1:
+            raise ValueError(f"anchor {name} must be a single value, got {value!r}")
+    splits = [point.item() for point in points]
+
+    def integrand(x):
+        return functools.reduce(operator.mul, [_RHO[kind](checked, np.abs(x - p)) for p in splits])
+
+    return average_over_domain(integrand, splits, spec)
+
+
 def integrate_pair(kind, theta, a, b, spec=DEFAULT_SPEC):
     """Oracle value of (1/2) * int rho(|a - x|) rho(|b - x|) dx on [-1, 1].
 
     Panels split at a and b. Matches pair_integral to near machine
     precision; the test suite holds the two within 1e-12 relative.
     """
-    theta = _validate_args(kind, theta, a, b)[0]
-    af, bf = float(a), float(b)
-
-    def integrand(x):
-        return _RHO[kind](theta, np.abs(x - af)) * _RHO[kind](theta, np.abs(x - bf))
-
-    return average_over_domain(integrand, (af, bf), spec)
+    return _average_of_product(kind, theta, spec, a=a, b=b)
 
 
 def integrate_single(kind, theta, a, spec=DEFAULT_SPEC):
     """Oracle value of (1/2) * int rho(|a - x|) dx on [-1, 1], split at a."""
-    theta = _validate_args(kind, theta, a)[0]
-    af = float(a)
-
-    def integrand(x):
-        return _RHO[kind](theta, np.abs(x - af))
-
-    return average_over_domain(integrand, (af,), spec)
+    return _average_of_product(kind, theta, spec, a=a)
 
 
 def integrate_mspe(family, design, spec=DEFAULT_SPEC):

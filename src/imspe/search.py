@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 # imspe, as_design, fd_gradient and local_search are looked up as attributes
 # of this module, where bench/spans.py installs its tracing wrappers
-from .criterion import _value_and_gradient, imspe, sorted_rows
+from .criterion import _sort_rows, _value_and_gradient, imspe
 from .errors import SingularDesignError
 from .kernels import Design, as_design
 
@@ -84,10 +84,13 @@ class LocalSearchResult(NamedTuple):
 
     design: Design
     value: float
-    converged: bool
     iterations: int
     grad_norm: float
     stop_reason: str
+
+    @property
+    def converged(self):
+        return self.stop_reason == "grad_tol"
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,15 +98,29 @@ class SearchResult:
     """Multistart outcome; ``local_minima`` holds one (design, value) per cluster, best first.
 
     ``outcomes`` holds the LocalSearchResult of every start, in start order;
-    a start whose correlation matrix is singular has none.
+    a start whose correlation matrix is singular has none. The other
+    fields derive from these two; with no converged start, ``best_design``
+    and ``best_imspe`` are None.
     """
 
-    best_design: Optional[Design]
-    best_imspe: Optional[float]
-    starts_converged: int
     local_minima: tuple
-    iterations_total: int
-    outcomes: tuple = ()
+    outcomes: tuple
+
+    @property
+    def best_design(self):
+        return self.local_minima[0][0] if self.local_minima else None
+
+    @property
+    def best_imspe(self):
+        return self.local_minima[0][1] if self.local_minima else None
+
+    @property
+    def starts_converged(self):
+        return sum(o.converged for o in self.outcomes)
+
+    @property
+    def iterations_total(self):
+        return sum(o.iterations for o in self.outcomes)
 
 
 def _objective(family, flat, shape):
@@ -232,9 +249,7 @@ def local_search(family, start, config=DEFAULT_CONFIG):
             )
         x, f, g, unit = x_new, f_new, g_new, unit_new
 
-    return LocalSearchResult(
-        Design(x.reshape(shape)), f, stop == "grad_tol", iterations, grad_norm, stop
-    )
+    return LocalSearchResult(Design(x.reshape(shape)), f, iterations, grad_norm, stop)
 
 
 def _evaluate(family, flat, shape):
@@ -277,12 +292,11 @@ def _line_search(family, shape, x, f, g, rounding, direction):
 def _generate_starts(n, d, count, rng):
     base = np.repeat(np.linspace(-1.0, 1.0, n + 2)[1:-1][:, None], d, axis=1)
     starts = [base]
-    perturbed = min(count - 1, max(0, (count - 1) // 3))
-    for _ in range(perturbed):
+    for _ in range((count - 1) // 3):
         starts.append(np.clip(base + rng.normal(0.0, 0.15, size=(n, d)), -1.0, 1.0))
     while len(starts) < count:
         starts.append(rng.uniform(-1.0, 1.0, size=(n, d)))
-    return starts[:count]
+    return starts
 
 
 def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
@@ -304,16 +318,11 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
             outcomes.append(local_search(family, start, config))
         except SingularDesignError:
             continue
-    iterations_total = sum(o.iterations for o in outcomes)
-    converged = [o for o in outcomes if o.converged]
-    if not converged:
-        return SearchResult(None, None, 0, (), iterations_total, tuple(outcomes))
-
     # value and gradient ties happen where the criterion is flat to the last
     # ulp; within such a plateau every member is numerically equivalent, so
     # prefer the most stationary one, then the smallest-magnitude coordinates
     ranked = sorted(
-        ((sorted_rows(o.design.points), o.value, o.grad_norm) for o in converged),
+        ((_sort_rows(o.design.points)[0], o.value, o.grad_norm) for o in outcomes if o.converged),
         key=lambda item: (
             item[1],
             item[2],
@@ -326,16 +335,7 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
         if any(np.max(np.abs(pts - kept)) <= _CLUSTER_TOL for kept, _ in clusters):
             continue
         clusters.append((pts, value))
-    minima = tuple((Design(pts), value) for pts, value in clusters)
-    best_design, best_value = minima[0]
-    return SearchResult(
-        best_design=best_design,
-        best_imspe=best_value,
-        starts_converged=len(converged),
-        local_minima=minima,
-        iterations_total=iterations_total,
-        outcomes=tuple(outcomes),
-    )
+    return SearchResult(tuple((Design(pts), value) for pts, value in clusters), tuple(outcomes))
 
 
 __all__ = [

@@ -26,7 +26,7 @@ from imspe import (
     single_integral,
 )
 from imspe import criterion, integrals, kernels
-from imspe.criterion import _canonical_form, _value_and_gradient, sorted_rows
+from imspe.criterion import _canonical_form, _sort_rows, _value_and_gradient
 
 THETAS = (0.1, 1.0, 10.0)
 
@@ -167,7 +167,7 @@ def _canonical_by_enumeration(points):
     best, best_key = None, None
     for mask in range(1 << d):
         signs = np.where((mask >> np.arange(d)) & 1, -1.0, 1.0)
-        variant = sorted_rows(points * signs)
+        variant = _sort_rows(points * signs)[0]
         key = tuple(variant.ravel().tolist())
         if best_key is None or key < best_key:
             best, best_key = variant, key
@@ -199,20 +199,22 @@ def _canonicalization_cases(rng):
 def test_canonical_points_match_the_sign_flip_enumeration():
     rng = np.random.default_rng(5)
     for points in _canonicalization_cases(rng):
-        fast = _canonical_form(points)[0]
+        fast, order, signs = _canonical_form(points)
         slow = _canonical_by_enumeration(points)
         assert np.array_equal(fast, slow)
         assert fast.tobytes() == slow.tobytes()  # signed zeros agree too
+        assert (points * signs)[order].tobytes() == fast.tobytes()
 
 
 def test_canonical_points_sort_once_when_the_extreme_row_is_unique(monkeypatch):
     calls = []
+    sort_rows = criterion._sort_rows
 
-    def counting_sorted_rows(points):
+    def counting_sort_rows(points):
         calls.append(points.shape)
-        return sorted_rows(points)
+        return sort_rows(points)
 
-    monkeypatch.setattr(criterion, "sorted_rows", counting_sorted_rows)
+    monkeypatch.setattr(criterion, "_sort_rows", counting_sort_rows)
     rng = np.random.default_rng(9)
     for d in (1, 2, 10, 40):
         calls.clear()
@@ -224,12 +226,13 @@ def test_canonical_points_sort_once_for_a_centrally_symmetric_design(monkeypatch
     # the extreme row ties with its mirror image; flipping every axis maps
     # the design onto itself, so the mirror branch needs no sort of its own
     calls = []
+    sort_rows = criterion._sort_rows
 
-    def counting_sorted_rows(points):
+    def counting_sort_rows(points):
         calls.append(points.shape)
-        return sorted_rows(points)
+        return sort_rows(points)
 
-    monkeypatch.setattr(criterion, "sorted_rows", counting_sorted_rows)
+    monkeypatch.setattr(criterion, "_sort_rows", counting_sort_rows)
     rng = np.random.default_rng(10)
     for d in (1, 2, 5):
         half = rng.uniform(-1.0, 1.0, size=(4, d))
@@ -470,12 +473,12 @@ def _per_axis_leave_one_out(factors):
 
 def _per_axis_evaluation(family, points):
     """Value, R, W, v, gradient and rounding unit, assembled and contracted one axis at a time."""
-    canonical, signs = _canonical_form(points)
+    canonical, _, signs = _canonical_form(points)
     n, d = canonical.shape
     factors = _per_axis_factors(family, canonical)
     R, W, v = map(_per_axis_product, factors)
     c, u, denom = criterion._factor(R)
-    value, terms, RiW, uW = criterion._value(c, u, denom, W, v)
+    value, terms, RiW, uW = criterion._value(c, u, denom, W, v)[:4]
     Rinv = criterion._solve(c, np.eye(n))
     uu = u[:, None] * u / denom
     numerator = 1.0 - 2.0 * float(u @ v) + float(uW @ u)

@@ -10,6 +10,7 @@ from imspe import integrals, kernels
 from imspe import (
     CovarianceFamily,
     Design,
+    InvalidHyperparameterError,
     OracleDivergenceError,
     QuadratureSpec,
     average_over_domain,
@@ -101,6 +102,21 @@ def test_kernel_oracles_check_theta_once(monkeypatch):
     calls.clear()
     integrate_single("matern52", 2.0, 0.3)
     assert len(calls) == 1
+
+
+def test_kernel_oracles_take_single_values():
+    # the closed forms broadcast over anchor arrays; the oracle takes one
+    # theta and one value per anchor, and says which argument has several
+    with pytest.raises(InvalidHyperparameterError, match="one theta"):
+        integrate_pair("matern52", [1.0, 2.0], 0.3, -0.2)
+    with pytest.raises(InvalidHyperparameterError, match="one theta"):
+        integrate_single("matern52", [1.0, 2.0], 0.3)
+    with pytest.raises(ValueError, match="anchor a must be a single value"):
+        integrate_pair("matern52", 2.0, [0.3, 0.1], -0.2)
+    with pytest.raises(ValueError, match="anchor b must be a single value"):
+        integrate_pair("matern52", 2.0, 0.3, [-0.2, 0.1])
+    with pytest.raises(ValueError, match="anchor a must be a single value"):
+        integrate_single("matern52", 2.0, [0.3, 0.1])
 
 
 def test_refinement_is_self_consistent():
