@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -398,9 +399,14 @@ def _merge_negative_values(argv):
     return merged
 
 
+@functools.cache
+def _parser():
+    # parsing leaves the parser as it was, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(list(sys.argv[1:] if argv is None else argv)))
+    args = _parser().parse_args(_merge_negative_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
     except SingularDesignError as exc:

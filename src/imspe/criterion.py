@@ -24,6 +24,16 @@ stacks and one Cholesky factorization of R, made by LAPACK ``dpotrf``
 ``cho_solve`` wrap, called without the wrappers' per-call checks: R, W and v
 are checked finite once per evaluation instead. The value uses solves only;
 the gradient also forms R^{-1} from the factor, as ``_solve(c, I)``.
+
+The search prices a batch of designs at once: ``_values_and_gradients``
+takes an (S, n, d) stack, one design per live start. ``_operands`` keeps
+the coordinate axis first and puts the start axis second, so each closed
+form, each slope, the products over axes and the adjoint's contractions
+run once for the whole batch, on (d, S, n, n) stacks. The factor, the solves and the dot
+products that feed each value stay in a per-design loop, which keeps
+LAPACK's bits, and a singular design prices as its own error without
+touching the others. ``imspe()`` assembles one design through the same
+``_assemble``, and ``_value_and_gradient`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -37,9 +47,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import InvalidDesignError, InvalidHyperparameterError, SingularDesignError
+from .errors import InvalidDesignError, SingularDesignError
 # pair_integral and single_integral are re-exported: bench/spans.py traces them here
-from .integrals import _DPAIR, _PAIR, _SINGLE, _dsingle, pair_integral, single_integral  # noqa: F401
+from .integrals import _DPAIR, _PAIR, _SINGLE, _check_finite, _dsingle, pair_integral, single_integral  # noqa: F401
 from .kernels import _DRHO, _correlations, _operands, _product, as_design, cross_correlation
 
 _EPS = float(np.finfo(float).eps)
@@ -136,30 +146,23 @@ def build_correlation_matrix(family, design):
 
 
 def _axis_factors(kind, theta, col, row):
-    """Per-axis factors of R, W and v from ``_operands``: (d, n, n), (d, n, n) and (d, n) stacks."""
+    """Per-axis factors of R, W and v from ``_operands``: (d, n, n), (d, n, n) and (d, n) stacks.
+
+    On an (S, n, d) stack of designs they are (d, S, n, n), (d, S, n, n) and (d, S, n).
+    """
     return (
         _correlations(kind, theta, col, row),
         _PAIR[kind](theta, col, row),
-        _SINGLE[kind](theta, col)[:, :, 0],
+        _SINGLE[kind](theta, col)[..., 0],
     )
 
 
-def _check_finite(family, **arrays):
-    """InvalidHyperparameterError naming the family, theta and array if one is not finite."""
-    for name, array in arrays.items():
-        if not np.isfinite(array).all():
-            raise InvalidHyperparameterError(
-                f"{family.kind} correlation at theta {list(family.theta)} is not finite "
-                f"in double precision ({name} has inf or nan entries)"
-            )
-
-
 def _assemble(family, points):
-    """``_operands`` of checked (n, d) points, their factor stacks and finite products R, W and v."""
+    """``_operands`` of checked (n, d) points or an (S, n, d) stack, their factor stacks and finite products R, W and v."""
     operands = _operands(family, points)
     factors = _axis_factors(*operands)
     R, W, v = map(_product, factors)
-    _check_finite(family, R=R, W=W, v=v)
+    _check_finite(family.kind, family.theta, R=R, W=W, v=v)
     return operands, factors, R, W, v
 
 
@@ -172,7 +175,7 @@ def build_pair_matrix(family, design):
 def build_single_vector(family, design):
     """Length-n vector of single averages v_i over the box (tensor product over dimensions)."""
     kind, theta, col, _ = _operands(family, as_design(design).points)
-    return _product(_SINGLE[kind](theta, col)[:, :, 0])
+    return _product(_SINGLE[kind](theta, col)[..., 0])
 
 
 def _factor(R):
@@ -270,13 +273,28 @@ def _leave_one_out(stack):
 def _value_and_gradient(family, points):
     """Criterion of checked (n, d) points, its gradient and its rounding unit.
 
-    The value is ``imspe(family, points).value`` bit for bit: the same
-    canonical points, axis factors, products, factor and exact sum. The
-    rounding unit is machine epsilon times the sum of the magnitudes of the
-    value's five terms: the value is a small difference of terms near 1, so
-    it is rounded on their scale, not on its own. The gradient, shaped like
-    ``points``, comes from one factor of R as the adjoint of the assembly.
-    With u = R^{-1} 1, c = 1'u, N = 1 - 2 u'v + u'Wu and z = R^{-1} (W u - v):
+    The one-design case of ``_values_and_gradients``: raises
+    SingularDesignError like ``imspe()``.
+    """
+    priced = _values_and_gradients(family, points[None])[0]
+    if isinstance(priced, SingularDesignError):
+        raise priced
+    return priced
+
+
+def _values_and_gradients(family, stack):
+    """Criterion, gradient and rounding unit of each design in an (S, n, d) stack of checked points.
+
+    Entry s is (value, gradient, unit) for design s, or the
+    SingularDesignError its R raised; a singular design leaves the others'
+    bits alone. The value is ``imspe(family, stack[s]).value`` bit for bit:
+    the same canonical points, axis factors, products, factor and exact sum.
+    The rounding unit is machine epsilon times the sum of the magnitudes of
+    the value's five terms: the value is a small difference of terms near 1,
+    so it is rounded on their scale, not on its own. The gradient, shaped
+    like ``stack[s]``, comes from one factor of R as the adjoint of the
+    assembly. With u = R^{-1} 1, c = 1'u, N = 1 - 2 u'v + u'Wu and
+    z = R^{-1} (W u - v):
 
         df/dW = uu'/c - R^{-1}
         df/dv = -2 u / c
@@ -288,34 +306,59 @@ def _value_and_gradient(family, points):
     over rows, for all axes at once, in O(n^2 d).
     A tied coordinate takes sign(0) = 0 in R, the mean of the one-sided
     slopes of the exponential kernel. Rows and signs are mapped back through
-    the canonicalization. Raises SingularDesignError like ``imspe()``.
-    """
-    canonical, order, signs = _canonical_form(points)
-    n = canonical.shape[0]
-    (kind, theta, col, row), factors, R, W, v = _assemble(family, canonical)
-    c, u, denom = _factor(R)
-    value, terms, RiW, uW, lin, quad = _value(c, u, denom, W, v)
+    the canonicalization.
 
-    # the value above used solves only; the adjoint needs R^{-1} itself
-    Rinv = _solve(c, np.eye(n))
-    uu = u[:, None] * u / denom
-    numerator = 1.0 - 2.0 * lin + quad
-    z = Rinv @ (uW - v)
+    The closed forms, their slopes, the products and the adjoint run once on
+    the whole stack; each design's factor, solves and the dot products that
+    feed its value run in a per-design loop, so every design keeps the bits
+    it has on its own.
+    """
+    forms = [_canonical_form(points) for points in stack]
+    canonical = np.stack([form[0] for form in forms])
+    size, n, _ = canonical.shape
+    (kind, theta, col, row), factors, R, W, v = _assemble(family, canonical)
+    # a singular design keeps these placeholders: its gradient is discarded
+    Rinv, RiWRi = np.zeros((2, size, n, n))
+    u, z = np.zeros((2, size, n))
+    denom, numerator = np.ones(size), np.zeros(size)
+    eye = np.eye(n)
+    priced = []
+    for s in range(size):
+        try:
+            c, u_s, denom_s = _factor(R[s])
+        except SingularDesignError as exc:
+            priced.append(exc)
+            continue
+        value, terms, RiW, uW, lin, quad = _value(c, u_s, denom_s, W[s], v[s])
+        # the value above used solves only; the adjoint needs R^{-1} itself
+        Rinv_s = _solve(c, eye)
+        z[s] = Rinv_s @ (uW - v[s])
+        Rinv[s], RiWRi[s], u[s], denom[s] = Rinv_s, _solve(c, RiW.T), u_s, denom_s
+        numerator[s] = 1.0 - 2.0 * lin + quad
+        priced.append((value, _EPS * math.fsum(abs(t) for t in terms)))
+
+    denom = denom[:, None, None]
+    uu = u[:, :, None] * u[:, None, :] / denom
     dW = uu - Rinv
-    dv = -2.0 * u / denom
-    RiWRi = _solve(c, RiW.T)
-    dR = RiWRi - (z[:, None] * u + u[:, None] * z) / denom + numerator * uu / denom
+    dv = -2.0 * u / denom[:, 0]
+    zu = z[:, :, None] * u[:, None, :] + u[:, :, None] * z[:, None, :]
+    dR = RiWRi - zu / denom + numerator[:, None, None] * uu / denom
     gap = col - row
     sR = _DRHO[kind](theta, np.abs(gap)) * np.sign(gap)
     sW = _DPAIR[kind](theta, col, row)
-    sv = _dsingle(kind, theta, col)[:, :, 0]
+    sv = _dsingle(kind, theta, col)[..., 0]
     R_rest, W_rest, v_rest = map(_leave_one_out, factors)
     # R and W are symmetric, so row i and column i contribute alike
-    rows = (dR * sR * R_rest).sum(axis=2) + (dW * sW * W_rest).sum(axis=2)
-    grad = (2.0 * rows + dv * sv * v_rest).T
-    out = np.empty(points.shape)
-    out[order] = grad * signs
-    return value, out, _EPS * math.fsum(abs(t) for t in terms)
+    rows = (dR * sR * R_rest).sum(axis=-1) + (dW * sW * W_rest).sum(axis=-1)
+    grad = 2.0 * rows + dv * sv * v_rest
+    for s, (points, (_, order, signs)) in enumerate(zip(stack, forms)):
+        if isinstance(priced[s], SingularDesignError):
+            continue
+        out = np.empty(points.shape)
+        out[order] = grad[:, s].T * signs
+        value, unit = priced[s]
+        priced[s] = value, out, unit
+    return priced
 
 
 def imspe_value(family, design):
@@ -332,7 +375,7 @@ def mspe_evaluator(family, design):
     """
     dsn = as_design(design)
     R = build_correlation_matrix(family, dsn)
-    _check_finite(family, R=R)
+    _check_finite(family.kind, family.theta, R=R)
     c, u, denom = _factor(R)
 
     def profile(x):
@@ -341,7 +384,7 @@ def mspe_evaluator(family, design):
         if not np.isfinite(arr).all():
             raise InvalidDesignError("locations must be finite")
         r = cross_correlation(family, dsn.points, arr.reshape(1, -1) if scalar else arr)
-        _check_finite(family, r=r)
+        _check_finite(family.kind, family.theta, r=r)
         solved = _solve(c, r)
         quad = np.einsum("ij,ij->j", r, solved)
         lin = u @ r

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
+from .errors import InvalidHyperparameterError
 from .kernels import _RHO, validate_kind, validate_theta
 
 # Stationary-bracket coefficients, highest-order Bessel rows first entry:
@@ -71,6 +72,16 @@ def _validate_args(kind, theta, *coords):
     if not all((np.abs(arr) <= 1.0).all() for arr in anchors):
         raise ValueError("integral anchor points must be finite and lie in [-1, 1]")
     return (theta, *anchors)
+
+
+def _check_finite(kind, theta, **arrays):
+    """InvalidHyperparameterError naming the kind, theta and array if one is not finite."""
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise InvalidHyperparameterError(
+                f"{kind} correlation at theta {np.ravel(theta).tolist()} is not finite "
+                f"in double precision ({name} has inf or nan entries)"
+            )
 
 
 def _pair_exponential(theta, a, b):
@@ -280,9 +291,14 @@ def pair_integral(kind, theta, a, b):
         Positive length scale.
     a, b : float or ndarray in [-1, 1]
         Anchor points; arrays broadcast against each other.
+
+    Raises InvalidHyperparameterError when theta is so large that the value
+    is not finite in double precision, as the criterion does.
     """
     theta, a, b = _validate_args(kind, theta, a, b)
-    return _PAIR[kind](theta, a, b)
+    value = _PAIR[kind](theta, a, b)
+    _check_finite(kind, theta, value=value)
+    return value
 
 
 def _single_exponential(theta, a):
@@ -340,9 +356,13 @@ def single_integral(kind, theta, a):
         Positive length scale.
     a : float or ndarray in [-1, 1]
         Anchor point.
+
+    Raises InvalidHyperparameterError like ``pair_integral``.
     """
     theta, a = _validate_args(kind, theta, a)
-    return _SINGLE[kind](theta, a)
+    value = _SINGLE[kind](theta, a)
+    _check_finite(kind, theta, value=value)
+    return value
 
 
 __all__ = [

@@ -208,19 +208,22 @@ def _operands(family, points, other=None):
     """Kind, theta, and the (d, n, 1) and (d, 1, m) column stacks of checked points.
 
     ``other`` (m, d) defaults to ``points`` (n, d), whose columns are then
-    copied once. One theta for all axes stays a scalar and one theta per
-    axis is a (d, 1, 1) stack; either broadcasts over the columns.
+    copied once. A stack of S designs, (S, n, d), gives (d, S, n, 1) and
+    (d, S, 1, n) stacks: the axis stays first, so products over axes take
+    one design or a stack alike. One theta for all axes stays a scalar and
+    one theta per axis is a (d, 1, 1) (or (d, 1, 1, 1)) stack; either
+    broadcasts over the columns.
     """
     theta = (np.float64(family.theta[0]) if len(family.theta) == 1
-             else family.theta_for_dimension(points.shape[1])[:, None, None])
+             else family.theta_for_dimension(points.shape[-1]).reshape((-1,) + (1,) * points.ndim))
     # the closed forms run faster on a contiguous copy than on points.T
-    cols = np.ascontiguousarray(points.T)
+    cols = np.ascontiguousarray(points.transpose(-1, *range(points.ndim - 1)))
     rows = cols if other is None else np.ascontiguousarray(other.T)
-    return family.kind, theta, cols[:, :, None], rows[:, None, :]
+    return family.kind, theta, cols[..., None], rows[..., None, :]
 
 
 def _correlations(kind, theta, col, row):
-    """Per-axis correlation factors of ``_operands``' stacks, a (d, n, m) stack."""
+    """Per-axis correlation factors of ``_operands``' stacks, a (d, n, m) (or (d, S, n, n)) stack."""
     return _RHO[kind](theta, np.abs(col - row))
 
 

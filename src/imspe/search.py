@@ -3,9 +3,20 @@
 Coordinates live in [-1, 1]; the only constraints are the box bounds, so
 projection is a clip. The descent prices each point it tries by one
 evaluation of the criterion and its exact gradient, from one assembly and
-Cholesky factor (the adjoint in ``criterion._value_and_gradient``);
+Cholesky factor (the adjoint in ``criterion._values_and_gradients``);
 ``fd_gradient`` stays as the finite-difference oracle the tests check it
-against. A start converges when the projected gradient (gradient with
+against.
+
+The starts run in lockstep. Each start's descent is a generator
+(``_descent``, with ``_line_search`` as its sub-generator) that keeps its
+own iterate, value, gradient, quasi-Newton matrix and step, yields each
+point it wants priced and is sent back the value, gradient and rounding
+unit, or the SingularDesignError of a singular point. One driver
+(``_lockstep``) gathers the pending point of every live start and prices
+them all with one criterion call per round, so a multistart makes as
+many calls as its longest start makes evaluations. ``local_search`` is
+the same driver with one start, and a start's outcome has the same bits
+either way. A start converges when the projected gradient (gradient with
 outward components zeroed on active bounds) has infinity norm at or below
 the optimality tolerance. Converged optima are deduplicated by clustering
 canonically sorted designs.
@@ -26,7 +37,7 @@ import numpy as np
 
 # imspe, as_design, fd_gradient and local_search are looked up as attributes
 # of this module, where bench/spans.py installs its tracing wrappers
-from .criterion import _sort_rows, _value_and_gradient, imspe
+from .criterion import _sort_rows, _values_and_gradients, imspe
 from .errors import SingularDesignError
 from .kernels import Design, as_design
 
@@ -36,7 +47,7 @@ _ARMIJO = 1e-4
 _WOLFE_SIGMA = 0.9
 _WOLFE_DELTA = 0.1
 # criterion differences within this many rounding units (machine epsilon on
-# the scale of the criterion's terms, see criterion._value_and_gradient)
+# the scale of the criterion's terms, see criterion._values_and_gradients)
 # are rounding
 _ROUNDING_UNITS = 4
 _LINESEARCH_CAP = 60
@@ -182,6 +193,8 @@ def projected_gradient(x, g):
 def local_search(family, start, config=DEFAULT_CONFIG):
     """Projected-BFGS descent from one starting design.
 
+    The one-start run of the lockstep driver ``multistart_search`` runs for
+    all of its starts, so a start's outcome is the same bits either way.
     Returns a LocalSearchResult; ``converged`` means the projected-gradient
     infinity norm reached ``config.optimality_tol``. Each trial step costs
     one evaluation of the criterion and its gradient, which an accepted step
@@ -192,13 +205,56 @@ def local_search(family, start, config=DEFAULT_CONFIG):
     Trial points with a singular correlation matrix price as +inf, so the
     backtracking shrinks past them instead of crashing.
     """
-    dsn = as_design(start)
-    shape = dsn.points.shape
-    x = dsn.points.ravel()
-    try:
-        f, g, unit = _evaluate(family, x, shape)
-    except SingularDesignError as exc:
-        raise SingularDesignError("starting design has a singular correlation matrix") from exc
+    points = as_design(start).points
+    outcome = _lockstep(family, points.shape, [_descent(points, config)])[0]
+    if isinstance(outcome, SingularDesignError):
+        raise SingularDesignError("starting design has a singular correlation matrix") from outcome
+    return outcome
+
+
+def _lockstep(family, shape, runs):
+    """Run generators that price flat trial points of ``shape`` in lockstep; their return values, in order.
+
+    Each run yields one trial at a time and is sent back (f, flat gradient,
+    rounding unit), or the SingularDesignError the trial raised. Each round
+    prices the pending trial of every live run in one
+    ``_values_and_gradients`` call on their (S, n, d) stack, so a
+    multistart makes as many calls as its longest start makes evaluations.
+    """
+    results = [None] * len(runs)
+    pending = {}
+
+    def advance(i, priced):
+        try:
+            pending[i] = runs[i].send(priced)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        live = list(pending)
+        stack = np.stack([pending.pop(i).reshape(shape) for i in live])
+        for i, priced in zip(live, _values_and_gradients(family, stack)):
+            if not isinstance(priced, SingularDesignError):
+                value, grad, unit = priced
+                priced = value, grad.ravel(), unit
+            advance(i, priced)
+    return results
+
+
+def _descent(points, config):
+    """The descent of ``local_search`` from (n, d) points, as a run of ``_lockstep``.
+
+    Yields the start, then each trial of each line search. Returns the
+    LocalSearchResult, or the SingularDesignError of a singular start.
+    """
+    shape = points.shape
+    x = points.ravel()
+    priced = yield x
+    if isinstance(priced, SingularDesignError):
+        return priced
+    f, g, unit = priced
     H = None  # the identity, until the first BFGS update is accepted
     iterations = 0
     while True:
@@ -223,7 +279,7 @@ def local_search(family, start, config=DEFAULT_CONFIG):
         if H is None:
             direction = -pg
 
-        accepted = _line_search(family, shape, x, f, g, _ROUNDING_UNITS * unit, direction)
+        accepted = yield from _line_search(x, f, g, _ROUNDING_UNITS * unit, direction)
         if accepted is None:
             if H is None:
                 stop = "linesearch_stall"
@@ -252,18 +308,12 @@ def local_search(family, start, config=DEFAULT_CONFIG):
     return LocalSearchResult(Design(x.reshape(shape)), f, iterations, grad_norm, stop)
 
 
-def _evaluate(family, flat, shape):
-    """Value, flat gradient and rounding unit of the criterion at a flat iterate."""
-    value, grad, unit = _value_and_gradient(family, flat.reshape(shape))
-    return value, grad.ravel(), unit
-
-
-def _line_search(family, shape, x, f, g, rounding, direction):
+def _line_search(x, f, g, rounding, direction):
     """Backtrack along ``direction`` from x, where f is rounded at ``rounding``.
 
-    Each trial is priced by one ``_evaluate``, +inf where R is singular.
-    Returns (x_new, f_new, g_new, unit_new) on Armijo decrease or on the
-    approximate Wolfe conditions, or None on a stall.
+    A sub-generator of ``_descent``: yields each trial, priced +inf where R
+    is singular. Returns (x_new, f_new, g_new, unit_new) on Armijo decrease
+    or on the approximate Wolfe conditions, or None on a stall.
     """
     step_scale = 1.0
     for _ in range(_LINESEARCH_CAP):
@@ -272,10 +322,11 @@ def _line_search(family, shape, x, f, g, rounding, direction):
         if not step.any():
             return None
         slope = float(g @ step)
-        try:
-            f_cand, g_cand, unit_cand = _evaluate(family, candidate, shape)
-        except SingularDesignError:
+        priced = yield candidate
+        if isinstance(priced, SingularDesignError):
             f_cand = math.inf
+        else:
+            f_cand, g_cand, unit_cand = priced
         if f_cand <= f + _ARMIJO * slope:
             return candidate, f_cand, g_cand, unit_cand
         if abs(f_cand - f) <= rounding:
@@ -312,12 +363,10 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
         raise ValueError("need n >= 1 points and d >= 1 dimensions")
     family.theta_for_dimension(d)
     rng = np.random.default_rng(config.seed)
-    outcomes = []
-    for start in _generate_starts(n, d, config.starts, rng):
-        try:
-            outcomes.append(local_search(family, start, config))
-        except SingularDesignError:
-            continue
+    runs = [_descent(start, config) for start in _generate_starts(n, d, config.starts, rng)]
+    outcomes = [
+        o for o in _lockstep(family, (n, d), runs) if not isinstance(o, SingularDesignError)
+    ]
     # value and gradient ties happen where the criterion is flat to the last
     # ulp; within such a plateau every member is numerically equivalent, so
     # prefer the most stationary one, then the smallest-magnitude coordinates

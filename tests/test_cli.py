@@ -165,6 +165,16 @@ class TestIntegral:
         assert record["inputs"]["a"] == -0.5
         assert record["inputs"]["b"] == -0.25
 
+    def test_nonfinite_closed_form_exit_usage(self, capsys):
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                ["integral", "--family", "matern52", "--theta", "1e300", "--a", "0.3", "--b", "0.1"],
+                capsys,
+            )
+        assert code == 2
+        assert out == ""
+        assert "matern52" in err and "1e+300" in err
+
     def test_anchor_outside_box_exit_usage(self, capsys):
         for anchor in (["--a", "1.2"], ["--a", "nan", "--method", "quadrature"]):
             code, _, err = run_cli(
@@ -173,6 +183,22 @@ class TestIntegral:
             )
             assert code == 2
             assert "[-1, 1]" in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    import imspe.cli as cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["integral", "--family", "gaussian", "--theta", "1", "--a", "0"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    capsys.readouterr()
 
 
 class TestSearch:

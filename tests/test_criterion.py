@@ -597,3 +597,30 @@ def test_nonfinite_single_average_is_caught(monkeypatch):
     for call in (imspe, _value_and_gradient):
         with pytest.raises(InvalidHyperparameterError, match=r"\(v has inf or nan"):
             call(fam, np.array([[-0.5], [0.5]]))
+
+
+def test_a_batch_has_the_bits_of_one_design_at_a_time():
+    # the search prices every live start's trial in one batch; each design
+    # keeps the value, gradient and unit it has alone, and a singular design
+    # mid-batch leaves the others' bits alone
+    rng = np.random.default_rng(13)
+    for kind in FAMILY_KINDS:
+        for d in range(1, 11):
+            anisotropic = rng.uniform(0.5, 5.0, size=d)
+            n = int(rng.integers(2, 9))
+            grid = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(5, n, d))  # ties, zeros
+            stack = np.where(rng.random((5, n, d)) < 0.5, grid, rng.uniform(-1.0, 1.0, size=(5, n, d)))
+            stack[2] = stack[2, 0]  # every point coincides: R is all ones
+            for fam in (CovarianceFamily(kind, anisotropic), CovarianceFamily(kind, anisotropic[0])):
+                batch = criterion._values_and_gradients(fam, stack)
+                assert len(batch) == len(stack)
+                for points, priced in zip(stack, batch):
+                    try:
+                        value, grad, unit = _value_and_gradient(fam, points)
+                    except SingularDesignError as exc:
+                        assert isinstance(priced, SingularDesignError)
+                        assert str(priced) == str(exc)
+                        continue
+                    assert (priced[0].hex(), priced[1].tobytes(), priced[2].hex()) == (
+                        value.hex(), grad.tobytes(), unit.hex())
+                assert isinstance(batch[2], SingularDesignError)

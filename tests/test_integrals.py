@@ -6,6 +6,7 @@ rounded to binary64. Tolerances are relative.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,3 +194,14 @@ class TestSymmetrizePlus:
 
         assert symmetrize_plus(lambda a, b: a * b, 0.3, 0.5) == 2.0 * (0.3 * 0.5)
         assert symmetrize_plus(lambda a, b: 7.25, -0.2, 0.9) == 14.5
+
+
+@pytest.mark.parametrize("kind, theta", [("matern52", 1e300), ("matern32", 1e308)])
+def test_nonfinite_closed_form_raises_invalid_hyperparameter(kind, theta):
+    # inf * 0 makes these averages nan; they raise as the criterion does
+    named = kind + r".*" + re.escape(repr(theta))
+    with np.errstate(all="ignore"):
+        with pytest.raises(InvalidHyperparameterError, match=named + r".*\(value has inf or nan"):
+            pair_integral(kind, theta, 0.3, 0.1)
+        with pytest.raises(InvalidHyperparameterError, match=named):
+            pair_integral(kind, theta, np.array([0.3, 0.5]), np.array([0.1, 0.1]))

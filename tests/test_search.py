@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from imspe import search
+from imspe import criterion, search
 from imspe.search import STOP_REASONS
 from imspe import (
     CovarianceFamily,
@@ -118,49 +118,53 @@ def test_local_search_reaches_every_stop_reason(monkeypatch):
     assert local_search(fam, Design([-0.4, 0.4])).stop_reason == "grad_tol"
     capped = local_search(fam, Design([-0.4, 0.4]), SearchConfig(max_iterations=1))
     assert (capped.stop_reason, capped.converged, capped.iterations) == ("max_iterations", False, 1)
-    exact = search._value_and_gradient
+    exact = search._values_and_gradients
     calls = []
 
-    def raised_after_start(family, points):
+    def raised_after_start(family, stack):
         calls.append(None)
-        value, grad, unit = exact(family, points)
-        return (value if len(calls) == 1 else value + 1e-3), grad, unit
+        return [
+            ((value if len(calls) == 1 else value + 1e-3), grad, unit)
+            for value, grad, unit in exact(family, stack)
+        ]
 
     # every trial step rises well above the rounding of f: halving runs until
     # the predicted change g's falls below that rounding, then even the
     # steepest-descent step is refused
-    monkeypatch.setattr(search, "_value_and_gradient", raised_after_start)
+    monkeypatch.setattr(search, "_values_and_gradients", raised_after_start)
     stalled = local_search(fam, Design([-0.4, 0.4]))
     assert (stalled.stop_reason, stalled.converged, stalled.iterations) == ("linesearch_stall", False, 1)
     assert stalled.grad_norm > 1e-9
 
     def poisoned_after(count):
-        def value_and_gradient(family, points):
+        def values_and_gradients(family, stack):
             calls.append(None)
-            value, grad, unit = exact(family, points)
-            return value, grad if len(calls) <= count else np.full_like(grad, np.nan), unit
-        return value_and_gradient
+            return [
+                (value, grad if len(calls) <= count else np.full_like(grad, np.nan), unit)
+                for value, grad, unit in exact(family, stack)
+            ]
+        return values_and_gradients
 
     for count, iterations in ((0, 0), (1, 1)):
         calls.clear()
-        monkeypatch.setattr(search, "_value_and_gradient", poisoned_after(count))
+        monkeypatch.setattr(search, "_values_and_gradients", poisoned_after(count))
         out = local_search(fam, Design([-0.4, 0.4]))
         assert (out.stop_reason, out.converged, out.iterations) == ("nonfinite_gradient", False, iterations)
         assert out.grad_norm == np.inf
 
 
 def test_local_search_evaluates_each_trial_once(monkeypatch):
-    exact = search._value_and_gradient
+    exact = search._values_and_gradients
     seen = []
 
-    def recorded(family, points):
-        seen.append(points.tobytes())
-        return exact(family, points)
+    def recorded(family, stack):
+        seen.extend(points.tobytes() for points in stack)
+        return exact(family, stack)
 
     def forbidden(*args):
         raise AssertionError("the descent priced a point without its gradient")
 
-    monkeypatch.setattr(search, "_value_and_gradient", recorded)
+    monkeypatch.setattr(search, "_values_and_gradients", recorded)
     monkeypatch.setattr(search, "imspe", forbidden)
     monkeypatch.setattr(search, "_objective", forbidden)
     out = local_search(CovarianceFamily("exponential", [10.0]), Design([-0.4, 0.4]))
@@ -170,16 +174,16 @@ def test_local_search_evaluates_each_trial_once(monkeypatch):
 
 
 def test_local_search_prices_a_singular_trial_as_inf(monkeypatch):
-    exact = search._value_and_gradient
+    exact = search._values_and_gradients
     calls = []
 
-    def singular_first_trial(family, points):
+    def singular_first_trial(family, stack):
         calls.append(None)
         if len(calls) == 2:
-            raise SingularDesignError("correlation matrix is not positive definite")
-        return exact(family, points)
+            return [SingularDesignError("correlation matrix is not positive definite")]
+        return exact(family, stack)
 
-    monkeypatch.setattr(search, "_value_and_gradient", singular_first_trial)
+    monkeypatch.setattr(search, "_values_and_gradients", singular_first_trial)
     out = local_search(CovarianceFamily("exponential", [10.0]), Design([-0.4, 0.4]))
     assert len(calls) > 2
     assert (out.stop_reason, out.converged) == ("grad_tol", True)
@@ -187,22 +191,21 @@ def test_local_search_prices_a_singular_trial_as_inf(monkeypatch):
 
 
 def test_line_search_prices_a_coincident_trial_as_inf(monkeypatch):
-    exact = search._value_and_gradient
+    exact = search._values_and_gradients
     raised = []
 
-    def spy(family, points):
-        try:
-            return exact(family, points)
-        except SingularDesignError as exc:
-            raised.append(str(exc))
-            raise
+    def spy(family, stack):
+        priced = exact(family, stack)
+        raised.extend(str(p) for p in priced if isinstance(p, SingularDesignError))
+        return priced
 
-    monkeypatch.setattr(search, "_value_and_gradient", spy)
+    monkeypatch.setattr(search, "_values_and_gradients", spy)
     fam = CovarianceFamily("gaussian", [1.0])
     x = np.array([-0.9, 0.1])
-    f, g, unit = search._evaluate(fam, x, (2, 1))
+    f, g, unit = exact(fam, x.reshape(1, 2, 1))[0]
     # the full step moves point 0 onto point 1; half of it is accepted
-    accepted = search._line_search(fam, (2, 1), x, f, g, unit, np.array([1.0, 0.0]))
+    trial = search._line_search(x, f, g.ravel(), unit, np.array([1.0, 0.0]))
+    accepted = search._lockstep(fam, (2, 1), [trial])[0]
     assert raised == [
         "correlation matrix is not positive definite: "
         "2-th leading minor of the array is not positive definite"
@@ -360,3 +363,71 @@ def test_multistart_checks_theta_count_before_drawing_starts(monkeypatch):
     with pytest.raises(InvalidHyperparameterError):
         multistart_search(CovarianceFamily("gaussian", [1.0, 2.0]), 3, 3)
     assert drawn == []
+
+
+def _starts(n, d, config):
+    return search._generate_starts(n, d, config.starts, np.random.default_rng(config.seed))
+
+
+def _fields(outcome):
+    return (outcome.design.points.tobytes(), outcome.value.hex(), outcome.iterations,
+            outcome.grad_norm.hex(), outcome.stop_reason)
+
+
+@pytest.mark.parametrize("kind,theta,n,d,config", [
+    ("exponential", [10.0], 2, 1, SearchConfig(starts=32, seed=0)),
+    ("matern32", [3.0], 3, 2, SearchConfig(starts=4, seed=0)),
+])
+def test_multistart_outcomes_are_the_one_start_runs(kind, theta, n, d, config, monkeypatch):
+    fam = CovarianceFamily(kind, theta)
+    alone = [local_search(fam, start, config) for start in _starts(n, d, config)]
+
+    def forbidden(*args):
+        raise AssertionError("the multistart ran a start on its own")
+
+    # the multistart runs all of its starts in lockstep, not one at a time
+    monkeypatch.setattr(search, "local_search", forbidden)
+    res = multistart_search(fam, n, d, config)
+    assert [_fields(o) for o in res.outcomes] == [_fields(o) for o in alone]
+
+
+def test_multistart_assembles_once_per_round(monkeypatch):
+    fam = CovarianceFamily("exponential", [10.0])
+    config = SearchConfig(starts=32, seed=0)
+    pair = criterion._PAIR["exponential"]
+    calls = []
+    monkeypatch.setitem(criterion._PAIR, "exponential", lambda *args: calls.append(None) or pair(*args))
+    evaluations = []
+    for start in _starts(2, 1, config):
+        calls.clear()
+        local_search(fam, start, config)
+        evaluations.append(len(calls))
+    calls.clear()
+    multistart_search(fam, 2, 1, config)
+    # one round per evaluation of the longest start, which the shorter ones share
+    assert min(evaluations) < max(evaluations) < sum(evaluations)
+    assert len(calls) == max(evaluations)
+
+
+def test_multistart_drops_a_singular_start_alone(monkeypatch):
+    fam = CovarianceFamily("matern52", [2.0])
+    config = SearchConfig(starts=6, seed=3)
+    starts = _starts(3, 1, config)
+    before = multistart_search(fam, 3, 1, config)
+    singular = np.full((3, 1), 0.25)
+    monkeypatch.setattr(search, "_generate_starts", lambda *args: starts[:2] + [singular] + starts[2:])
+    exact = search._values_and_gradients
+    batches = []
+
+    def spy(family, stack):
+        batches.append([points.tobytes() for points in stack])
+        return exact(family, stack)
+
+    monkeypatch.setattr(search, "_values_and_gradients", spy)
+    after = multistart_search(fam, 3, 1, config)
+    assert [_fields(o) for o in after.outcomes] == [_fields(o) for o in before.outcomes]
+    assert [(dsn.points.tobytes(), value.hex()) for dsn, value in after.local_minima] == [
+        (dsn.points.tobytes(), value.hex()) for dsn, value in before.local_minima]
+    # the singular start is priced once, in the first round, with every start
+    assert batches[0][2] == singular.tobytes() and len(batches[0]) == 7
+    assert all(singular.tobytes() not in batch for batch in batches[1:])

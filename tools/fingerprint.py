@@ -35,10 +35,12 @@ Hashed, in order:
 - 48 quadrature-oracle values in hex, six ``integrate_pair`` and six
   ``integrate_single`` per family at theta in [0.1, 10], and
   ``integrate_mspe`` on ten d = 1 designs (or the error raised);
-- four ``multistart_search`` outcomes, two with d = 1 and two with d = 2:
+- five ``multistart_search`` outcomes, three with d = 1 and two with d = 2:
   values in hex, design bytes, converged starts and iterations, then every
   start's stop reason, projected-gradient norm in hex and iteration count;
-  the matern32 job reports one optimum and its mirror image as two minima;
+  the matern32 job reports one optimum and its mirror image as two minima,
+  and the 32-start exponential θ = 10, n = 2 table cell has starts that
+  stop after 1 to 21 evaluations;
 - the ``imspe eval --diagnostics``, ``imspe search`` and
   ``imspe reproduce-tables --table 1`` JSON records without ``timing_ms``.
 """
@@ -184,6 +186,7 @@ def _searches(digest):
         ("matern52", [2.0], 4, 1, SearchConfig(starts=3, seed=2, max_iterations=60)),
         ("gaussian", [1.0, 4.0], 3, 2, SearchConfig(starts=3, seed=3, max_iterations=40)),
         ("matern32", [3.0], 3, 2, SearchConfig(starts=4, seed=0)),
+        ("exponential", [10.0], 2, 1, SearchConfig(starts=32, seed=0)),
     )
     for kind, theta, n, d, config in jobs:
         result = multistart_search(CovarianceFamily(kind, theta), n, d, config)
