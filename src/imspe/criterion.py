@@ -17,23 +17,24 @@ The per-axis factors of R, W and v come as (d, n, n), (d, n, n) and
 (d, n) stacks, from one call of each family's closed form on the
 coordinate stacks of ``kernels._operands``, and ``kernels._product`` takes
 R, W and v over the axes, as ``cross_correlation`` does. The value
-and the search's exact gradient (``_value_and_gradient``) share those
+and the search's exact gradient (``_values_and_gradients``) share those
 stacks and one Cholesky factorization of R, made by LAPACK ``dpotrf``
 (``_factor``); every solve is one ``dpotrs`` call on that factor
 (``_solve``). These are the routines scipy's ``cho_factor`` and
 ``cho_solve`` wrap, called without the wrappers' per-call checks: R, W and v
-are checked finite once per evaluation instead. The value uses solves only;
-the gradient also forms R^{-1} from the factor, as ``_solve(c, I)``.
+are checked finite once per evaluation instead. A design whose R has no
+usable factor, or whose points repeat, is singular.
 
 The search prices a batch of designs at once: ``_values_and_gradients``
 takes an (S, n, d) stack, one design per live start. ``_operands`` keeps
 the coordinate axis first and puts the start axis second, so each closed
 form, each slope, the products over axes and the adjoint's contractions
-run once for the whole batch, on (d, S, n, n) stacks. The factor, the solves and the dot
-products that feed each value stay in a per-design loop, which keeps
-LAPACK's bits, and a singular design prices as its own error without
-touching the others. ``imspe()`` assembles one design through the same
-``_assemble``, and ``_value_and_gradient`` is the batch of one.
+run once for the whole batch, on (d, S, n, n) stacks. One value step
+(``_priced``) serves the batch and ``imspe()``, its batch of one: each
+design keeps its own ``dpotrf`` factor, ``dpotrs`` solves and exact sum,
+which keeps LAPACK's bits and lets a singular design price as its own
+error, and the checks, dot products, traces and the scatter of the
+gradient back to each design's row order run on the stack.
 """
 
 from __future__ import annotations
@@ -139,6 +140,31 @@ def _canonical_form(points):
             branches.append((s, rest, np.where(free, neg[rest], points[rest] * s).tolist()))
 
 
+def _canonical_forms_1d(stack):
+    """``_canonical_form`` of every design of an (S, n, 1) stack at once: points, row orders and signs.
+
+    A d = 1 design has two candidates, its sorted points and its sorted
+    negated points; the negation is the smaller one only when it is
+    lexicographically smaller (0.0 == -0.0), so ties keep the least flip
+    mask. Stable sorts give the order ``_sort_rows`` gives, and ``x * -1.0``
+    is the negation ``points * s`` makes, -0.0 included.
+    """
+    x = stack[..., 0]
+    flipped = x * -1.0
+    up = np.argsort(x, axis=1, kind="stable")
+    down = np.argsort(flipped, axis=1, kind="stable")
+    ascending = np.take_along_axis(x, up, axis=1)
+    descending = np.take_along_axis(flipped, down, axis=1)
+    differ = ascending != descending
+    first = differ.argmax(axis=1)[:, None]
+    flip = differ.any(axis=1) & (
+        np.take_along_axis(descending, first, axis=1) < np.take_along_axis(ascending, first, axis=1)
+    )[:, 0]
+    points = np.where(flip[:, None], descending, ascending)[..., None]
+    order = np.where(flip[:, None], down, up)
+    return points, order, np.where(flip, -1.0, 1.0)[:, None]
+
+
 def build_correlation_matrix(family, design):
     """Symmetric n x n matrix of pairwise design correlations, unit diagonal."""
     dsn = as_design(design)
@@ -179,10 +205,10 @@ def build_single_vector(family, design):
 
 
 def _factor(R):
-    """Lower Cholesky factor c of a finite R, u = R^{-1} 1 and 1'u, or SingularDesignError.
+    """Lower Cholesky factor c of a finite R by LAPACK ``dpotrf``, or SingularDesignError.
 
-    Raises when R has no finite Cholesky factor or when 1'R^{-1}1 is not
-    positive and finite. The upper triangle of c holds R's own entries.
+    Raises when a leading minor is not positive definite. The upper triangle
+    of c holds R's own entries.
     """
     c, info = dpotrf(R, lower=1, clean=0)
     if info > 0:
@@ -192,16 +218,33 @@ def _factor(R):
         )
     if info < 0:
         raise ValueError(f"dpotrf reported an illegal value in argument {-info}")
-    if not np.isfinite(c).all() or (c.diagonal() <= 0.0).any():
-        raise SingularDesignError("correlation matrix factorization produced non-finite entries")
-    ones = np.ones(R.shape[0])
-    u = _solve(c, ones)
-    denom = float(u @ ones)
-    if not math.isfinite(denom) or denom <= 0.0:
-        raise SingularDesignError(
-            "correlation matrix is numerically singular (1'R^{-1}1 not positive)"
-        )
-    return c, u, denom
+    return c
+
+
+def _screen(errors, pivots, denom, rows):
+    """Mark each design of a stack that cannot be priced, unless it already has an error.
+
+    From the last pivot of its factor, its 1'R^{-1}1 ``denom`` and its
+    sorted (n, d) ``rows``, in this order: a factor with a non-finite entry
+    or a nonpositive pivot, a 1'R^{-1}1 that is not positive and finite, or
+    a repeated point (0.0 == -0.0). ``dpotrf`` takes only a positive or NaN
+    pivot, and a non-finite entry makes every later pivot NaN or stops the
+    factorization, so a positive, finite last pivot vouches for the whole
+    factor. Rounding can leave R a positive factor at a repeated point, but
+    its value means nothing.
+    """
+    repeated = np.logical_or.reduce(np.logical_and.reduce(rows[:, 1:] == rows[:, :-1], axis=2), axis=1)
+    for s, (pivot, positive, twice) in enumerate(zip(pivots, denom.tolist(), repeated.tolist())):
+        if errors[s] is not None:
+            continue
+        if not 0.0 < pivot < math.inf:
+            errors[s] = SingularDesignError("correlation matrix factorization produced non-finite entries")
+        elif not 0.0 < positive < math.inf:
+            errors[s] = SingularDesignError(
+                "correlation matrix is numerically singular (1'R^{-1}1 not positive)"
+            )
+        elif twice:
+            errors[s] = SingularDesignError("design has repeated points")
 
 
 def _solve(c, b):
@@ -238,24 +281,79 @@ def imspe(family, design):
         On bad points, a theta count that is neither 1 nor d, or a theta so
         large that R, W or v is not finite in double precision.
     SingularDesignError
-        If R has no Cholesky factorization (coincident or near-coincident
-        points).
+        If R has no usable Cholesky factorization (near-coincident points),
+        or if the design repeats a point.
     """
     points = _canonical_form(as_design(design).points)[0]
     R, W, v = _assemble(family, points)[2:]
-    value = _value(*_factor(R), W, v)[0]
-    return ImspeEvaluation(value=value, R=R, W=W, v=v)
+    priced = _priced(R[None], W[None], v[None], points[None])[0][0]
+    if isinstance(priced, SingularDesignError):
+        raise priced
+    return ImspeEvaluation(value=priced[0], R=R, W=W, v=v)
 
 
-def _value(c, u, denom, W, v):
-    """The criterion from ``_factor(R)``, W and v; its five terms; R^{-1} W, u'W, u'v and u'Wu."""
-    RiW = _solve(c, W)
-    uW = u @ W
-    lin = float(u @ v)
-    quad = float(uW @ u)
-    terms = (1.0, -float(np.trace(RiW)), 1.0 / denom, -2.0 * lin / denom, quad / denom)
-    # exact summation keeps the n = 1 identity value == 2 - 2 v[0] bit-exact
-    return math.fsum(terms), terms, RiW, uW, lin, quad
+def _priced(R, W, v, rows, adjoint=False):
+    """Each design's (value, rounding unit) or SingularDesignError, and the solves behind them.
+
+    R and W are (S, n, n) stacks, v an (S, n) stack and ``rows`` the
+    designs' sorted (S, n, d) points. Each design gets one ``dpotrf``
+    factor, which keeps LAPACK's bits, one ``dpotrs`` call on the columns
+    [1 | W] of the stack and one exact sum of its five terms; the checks,
+    the dot products and the trace run on the stack. With ``adjoint`` the
+    columns are [1 | W | I], which also gives R^{-1}, and a second call
+    gives R^{-1} W R^{-1}. Also returns u = R^{-1} 1, 1'u, u'W,
+    u'v and u'Wu, and with ``adjoint`` R^{-1} and R^{-1} W R^{-1}; a
+    singular design's entries there are placeholders. Every solution keeps
+    the Fortran order ``dpotrs`` gives it, since BLAS products of R^{-1}
+    pick their arithmetic by memory order.
+    """
+    size, n = v.shape
+    # design s's solution of column k is solved[s, k]
+    columns = np.empty((size, 2 * n + 1 if adjoint else n + 1, n))
+    columns[:, 0] = 1.0
+    columns[:, 1:n + 1] = W.transpose(0, 2, 1)
+    if adjoint:
+        columns[:, n + 1:] = np.eye(n)
+        RiWRi = np.empty((size, n, n))
+    solved = np.empty_like(columns)
+    errors, pivots = [None] * size, [1.0] * size
+    for s in range(size):
+        try:
+            c = _factor(R[s])
+        except SingularDesignError as exc:
+            errors[s] = exc
+            continue
+        pivots[s] = c[-1, -1]
+        x = _solve(c, columns[s].T)
+        solved[s] = x.T
+        if adjoint:
+            RiWRi[s] = _solve(c, x[:, 1:n + 1].T)
+    u = solved[:, 0]
+    denom = (u[:, None, :] @ columns[:, :1].transpose(0, 2, 1))[:, 0, 0]
+    _screen(errors, pivots, denom, rows)
+    singular = [s for s, error in enumerate(errors) if error is not None]
+    if singular:
+        solved[singular] = 0.0
+        denom[singular] = 1.0
+        if adjoint:
+            RiWRi[singular] = 0.0
+    row = u[:, None, :]
+    uW = (row @ W)[:, 0]
+    lin = (row @ v[:, :, None])[:, 0, 0]
+    quad = (uW[:, None, :] @ u[:, :, None])[:, 0, 0]
+    priced = []
+    traces = solved[:, 1:n + 1].trace(axis1=1, axis2=2)
+    for error, *sums in zip(errors, traces.tolist(), denom.tolist(), lin.tolist(), quad.tolist()):
+        if error is None:
+            trace, ones_u, v_u, uWu = sums
+            terms = (1.0, -trace, 1.0 / ones_u, -2.0 * v_u / ones_u, uWu / ones_u)
+            # exact summation keeps the n = 1 identity value == 2 - 2 v[0] bit-exact
+            error = math.fsum(terms), _EPS * math.fsum(map(abs, terms))
+        priced.append(error)
+    solves = u, denom, uW, lin, quad
+    if adjoint:
+        solves += solved[:, n + 1:].transpose(0, 2, 1), RiWRi
+    return priced, solves
 
 
 def _leave_one_out(stack):
@@ -286,8 +384,8 @@ def _values_and_gradients(family, stack):
     """Criterion, gradient and rounding unit of each design in an (S, n, d) stack of checked points.
 
     Entry s is (value, gradient, unit) for design s, or the
-    SingularDesignError its R raised; a singular design leaves the others'
-    bits alone. The value is ``imspe(family, stack[s]).value`` bit for bit:
+    SingularDesignError that makes it singular; a singular design leaves the
+    others' bits alone. The value is ``imspe(family, stack[s]).value`` bit for bit:
     the same canonical points, axis factors, products, factor and exact sum.
     The rounding unit is machine epsilon times the sum of the magnitudes of
     the value's five terms: the value is a small difference of terms near 1,
@@ -308,35 +406,23 @@ def _values_and_gradients(family, stack):
     slopes of the exponential kernel. Rows and signs are mapped back through
     the canonicalization.
 
-    The closed forms, their slopes, the products and the adjoint run once on
-    the whole stack; each design's factor, solves and the dot products that
-    feed its value run in a per-design loop, so every design keeps the bits
-    it has on its own.
+    Everything runs once on the whole stack but what ``_priced`` keeps per
+    design: the factor, its solves and the exact sums. So every design
+    keeps the bits it has on its own. A d = 1 stack takes its canonical
+    forms from one sort (``_canonical_forms_1d``).
     """
-    forms = [_canonical_form(points) for points in stack]
-    canonical = np.stack([form[0] for form in forms])
-    size, n, _ = canonical.shape
+    size, n, d = stack.shape
+    if d == 1:
+        canonical, order, signs = _canonical_forms_1d(stack)
+    else:
+        forms = [_canonical_form(points) for points in stack]
+        canonical = np.stack([form[0] for form in forms])
+        order = np.stack([form[1] for form in forms])
+        signs = np.array([form[2] for form in forms])
     (kind, theta, col, row), factors, R, W, v = _assemble(family, canonical)
-    # a singular design keeps these placeholders: its gradient is discarded
-    Rinv, RiWRi = np.zeros((2, size, n, n))
-    u, z = np.zeros((2, size, n))
-    denom, numerator = np.ones(size), np.zeros(size)
-    eye = np.eye(n)
-    priced = []
-    for s in range(size):
-        try:
-            c, u_s, denom_s = _factor(R[s])
-        except SingularDesignError as exc:
-            priced.append(exc)
-            continue
-        value, terms, RiW, uW, lin, quad = _value(c, u_s, denom_s, W[s], v[s])
-        # the value above used solves only; the adjoint needs R^{-1} itself
-        Rinv_s = _solve(c, eye)
-        z[s] = Rinv_s @ (uW - v[s])
-        Rinv[s], RiWRi[s], u[s], denom[s] = Rinv_s, _solve(c, RiW.T), u_s, denom_s
-        numerator[s] = 1.0 - 2.0 * lin + quad
-        priced.append((value, _EPS * math.fsum(abs(t) for t in terms)))
-
+    priced, (u, denom, uW, lin, quad, Rinv, RiWRi) = _priced(R, W, v, canonical, adjoint=True)
+    z = (Rinv @ (uW - v)[:, :, None])[:, :, 0]
+    numerator = 1.0 - 2.0 * lin + quad
     denom = denom[:, None, None]
     uu = u[:, :, None] * u[:, None, :] / denom
     dW = uu - Rinv
@@ -351,14 +437,13 @@ def _values_and_gradients(family, stack):
     # R and W are symmetric, so row i and column i contribute alike
     rows = (dR * sR * R_rest).sum(axis=-1) + (dW * sW * W_rest).sum(axis=-1)
     grad = 2.0 * rows + dv * sv * v_rest
-    for s, (points, (_, order, signs)) in enumerate(zip(stack, forms)):
-        if isinstance(priced[s], SingularDesignError):
-            continue
-        out = np.empty(points.shape)
-        out[order] = grad[:, s].T * signs
-        value, unit = priced[s]
-        priced[s] = value, out, unit
-    return priced
+    # back through each design's canonical row order and signs
+    grads = np.empty(stack.shape)
+    grads[np.arange(size)[:, None], order] = grad.transpose(1, 2, 0) * signs[:, None, :]
+    return [
+        entry if isinstance(entry, SingularDesignError) else (entry[0], out, entry[1])
+        for entry, out in zip(priced, grads)
+    ]
 
 
 def imspe_value(family, design):
@@ -376,7 +461,14 @@ def mspe_evaluator(family, design):
     dsn = as_design(design)
     R = build_correlation_matrix(family, dsn)
     _check_finite(family.kind, family.theta, R=R)
-    c, u, denom = _factor(R)
+    c = _factor(R)
+    ones = np.ones(len(R))
+    u = _solve(c, ones)
+    denom = float(u @ ones)
+    errors = [None]
+    _screen(errors, [c[-1, -1]], np.array([denom]), _sort_rows(dsn.points)[0][None])
+    if errors[0] is not None:
+        raise errors[0]
 
     def profile(x):
         arr = np.asarray(x, dtype=float)

@@ -7,19 +7,17 @@ Cholesky factor (the adjoint in ``criterion._values_and_gradients``);
 ``fd_gradient`` stays as the finite-difference oracle the tests check it
 against.
 
-The starts run in lockstep. Each start's descent is a generator
-(``_descent``, with ``_line_search`` as its sub-generator) that keeps its
-own iterate, value, gradient, quasi-Newton matrix and step, yields each
-point it wants priced and is sent back the value, gradient and rounding
-unit, or the SingularDesignError of a singular point. One driver
-(``_lockstep``) gathers the pending point of every live start and prices
-them all with one criterion call per round, so a multistart makes as
-many calls as its longest start makes evaluations. ``local_search`` is
-the same driver with one start, and a start's outcome has the same bits
-either way. A start converges when the projected gradient (gradient with
-outward components zeroed on active bounds) has infinity norm at or below
-the optimality tolerance. Converged optima are deduplicated by clustering
-canonically sorted designs.
+The starts run in lockstep, in one driver (``_descend``) that keeps every
+start's iterate, value, gradient, quasi-Newton matrix and line-search step
+as rows of (S, ...) arrays and makes each decision with masks over them.
+Each round it prices the pending trial of every live start with one
+criterion call on their stack, so a multistart makes as many calls as its
+longest start makes evaluations. ``local_search`` is the same driver with
+one start, and a start's outcome has the same bits either way. A start
+converges when the projected gradient (gradient with outward components
+zeroed on active bounds) has infinity norm at or below the optimality
+tolerance. Converged optima are deduplicated by clustering canonically
+sorted designs.
 
 Everything is deterministic for a given seed: starting designs come from a
 seeded generator and the descent itself contains no randomness, so repeated
@@ -193,151 +191,198 @@ def projected_gradient(x, g):
 def local_search(family, start, config=DEFAULT_CONFIG):
     """Projected-BFGS descent from one starting design.
 
-    The one-start run of the lockstep driver ``multistart_search`` runs for
-    all of its starts, so a start's outcome is the same bits either way.
-    Returns a LocalSearchResult; ``converged`` means the projected-gradient
-    infinity norm reached ``config.optimality_tol``. Each trial step costs
-    one evaluation of the criterion and its gradient, which an accepted step
-    keeps. A step passes on Armijo sufficient decrease; where f changes by no
-    more than its rounding (a few epsilon on the scale of the terms it is
-    summed from), it passes on the approximate Wolfe conditions instead, and
-    halving stops once the predicted change g's falls below that rounding.
-    Trial points with a singular correlation matrix price as +inf, so the
-    backtracking shrinks past them instead of crashing.
+    The one-start case of the lockstep driver (``_descend``) that
+    ``multistart_search`` runs for all of its starts, so a start's outcome
+    is the same bits either way. Returns a LocalSearchResult; ``converged``
+    means the projected-gradient infinity norm reached
+    ``config.optimality_tol``. Each trial step costs one evaluation of the
+    criterion and its gradient, which an accepted step keeps. A step passes
+    on Armijo sufficient decrease; where f changes by no more than its
+    rounding (a few epsilon on the scale of the terms it is summed from), it
+    passes on the approximate Wolfe conditions instead, and halving stops
+    once the predicted change g's falls below that rounding. Trial points
+    with a singular correlation matrix price as +inf, so the backtracking
+    shrinks past them instead of crashing.
     """
     points = as_design(start).points
-    outcome = _lockstep(family, points.shape, [_descent(points, config)])[0]
+    outcome = _descend(family, points[None], config)[0]
     if isinstance(outcome, SingularDesignError):
         raise SingularDesignError("starting design has a singular correlation matrix") from outcome
     return outcome
 
 
-def _lockstep(family, shape, runs):
-    """Run generators that price flat trial points of ``shape`` in lockstep; their return values, in order.
+def _dot(a, b):
+    """Row-by-row dot products of two (S, m) stacks, each one BLAS dot of its row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Each run yields one trial at a time and is sent back (f, flat gradient,
-    rounding unit), or the SingularDesignError the trial raised. Each round
-    prices the pending trial of every live run in one
-    ``_values_and_gradients`` call on their (S, n, d) stack, so a
-    multistart makes as many calls as its longest start makes evaluations.
+
+def _read(priced, m):
+    """Values (+inf where singular), flat gradients, rounding units and the singular mask of a round's entries."""
+    f = np.full(len(priced), math.inf)
+    g = np.zeros((len(priced), m))
+    unit = np.zeros(len(priced))
+    singular = np.zeros(len(priced), dtype=bool)
+    for k, entry in enumerate(priced):
+        if isinstance(entry, SingularDesignError):
+            singular[k] = True
+        else:
+            f[k], grad, unit[k] = entry
+            g[k] = grad.ravel()
+    return f, g, unit, singular
+
+
+def _descend(family, starts, config):
+    """The descents from every (n, d) start of an (S, n, d) stack, in lockstep.
+
+    Returns each start's LocalSearchResult, or the SingularDesignError of a
+    singular start, in start order. Every start's iterate, value, gradient,
+    quasi-Newton matrix (with a flag for the identity) and line-search state
+    is a row of an (S, ...) array, and masks make each decision for all
+    starts at once. Each round prices the pending trial of every live start
+    in one ``_values_and_gradients`` call on their stack, so a multistart
+    makes as many calls as its longest start makes evaluations. Between two
+    rounds a start moves on until it has a trial to price or stops:
+
+    - at the top of an iteration it stops on a non-finite gradient, on the
+      optimality tolerance or on the iteration cap; otherwise it counts an
+      iteration and takes the quasi-Newton direction, or steepest descent
+      when it has no model or the model's direction is not downhill;
+    - a trial is the step clipped to the box; a zero step stalls unpriced;
+    - a priced trial passes on Armijo decrease, or, where f moved within
+      its rounding, on the approximate Wolfe conditions; a rejected trial
+      stalls once g's is within the rounding or after the cap of trials,
+      and halves the step otherwise;
+    - a stall with a model drops the model and retries the iterate from
+      steepest descent; without one the start stops.
     """
-    results = [None] * len(runs)
-    pending = {}
+    size, n, d = starts.shape
+    m = n * d
+    x = starts.reshape(size, m).copy()
+    results = _values_and_gradients(family, starts)
+    f, g, unit, singular = _read(results, m)
+    stops = [None] * size
+    H = np.zeros((size, m, m))
+    has_model = np.zeros(size, dtype=bool)
+    iterations = np.zeros(size, dtype=int)
+    grad_norm = np.zeros(size)
+    direction = np.zeros((size, m))
+    scale = np.ones(size)
+    trials = np.zeros(size, dtype=int)
+    rounding = np.zeros(size)
+    trial = np.zeros((size, m))
+    step = np.zeros((size, m))
+    slope = np.zeros(size)
 
-    def advance(i, priced):
-        try:
-            pending[i] = runs[i].send(priced)
-        except StopIteration as stop:
-            results[i] = stop.value
+    def stop(indices, reason):
+        for i in indices:
+            stops[i] = reason
 
-    for i in range(len(runs)):
-        advance(i, None)
-    while pending:
-        live = list(pending)
-        stack = np.stack([pending.pop(i).reshape(shape) for i in live])
-        for i, priced in zip(live, _values_and_gradients(family, stack)):
-            if not isinstance(priced, SingularDesignError):
-                value, grad, unit = priced
-                priced = value, grad.ravel(), unit
-            advance(i, priced)
+    nothing = np.zeros(0, dtype=int)
+    begin, propose, stall = np.flatnonzero(~singular), nothing, nothing
+    while True:
+        pending = []
+        while begin.size or propose.size or stall.size:
+            if stall.size:  # retry from steepest descent, or stop
+                retry = stall[has_model[stall]]
+                stop(stall[~has_model[stall]], "linesearch_stall")
+                has_model[retry] = False
+                begin, stall = np.concatenate((begin, retry)), nothing
+            if begin.size:  # the top of an iteration
+                finite = np.isfinite(g[begin]).all(axis=1)
+                stop(begin[~finite], "nonfinite_gradient")
+                grad_norm[begin[~finite]] = math.inf
+                begin = begin[finite]
+                pg = projected_gradient(x[begin], g[begin])
+                grad_norm[begin] = np.abs(pg).max(axis=1)
+                converged = grad_norm[begin] <= config.optimality_tol
+                capped = ~converged & (iterations[begin] == config.max_iterations)
+                stop(begin[converged], "grad_tol")
+                stop(begin[capped], "max_iterations")
+                go = ~(converged | capped)
+                begin, pg = begin[go], pg[go]
+                iterations[begin] += 1
+                modelled = has_model[begin]
+                if modelled.any():
+                    at = begin[modelled]
+                    newton = -projected_gradient(x[at], (H[at] @ g[at][:, :, None])[:, :, 0])
+                    # quasi-Newton model broke down; restart from steepest descent
+                    broken = (_dot(newton, g[at]) >= 0.0) | ~newton.any(axis=1)
+                    has_model[at[broken]] = False
+                    direction[at[~broken]] = newton[~broken]
+                steepest = ~has_model[begin]
+                direction[begin[steepest]] = -pg[steepest]
+                scale[begin], trials[begin] = 1.0, 0
+                rounding[begin] = _ROUNDING_UNITS * unit[begin]
+                propose, begin = np.concatenate((propose, begin)), nothing
+            if propose.size:  # the next trial of each line search
+                exhausted = trials[propose] == _LINESEARCH_CAP
+                stall, propose = propose[exhausted], propose[~exhausted]
+                origin = x[propose]
+                candidate = np.minimum(np.maximum(origin + scale[propose, None] * direction[propose], -1.0), 1.0)
+                moved = candidate - origin
+                zero = ~moved.any(axis=1)
+                stall = np.concatenate((stall, propose[zero]))
+                live = propose[~zero]
+                trial[live], step[live] = candidate[~zero], moved[~zero]
+                slope[live] = _dot(g[live], moved[~zero])
+                pending.append(live)
+                propose = nothing
+        pending = np.concatenate(pending) if pending else nothing
+        if not pending.size:
+            break
+        pending.sort()  # each round's stack in start order
+        priced = _values_and_gradients(family, trial[pending].reshape(-1, n, d))
+        f_new, g_new, unit_new, _ = _read(priced, m)
+        f_old = f[pending]
+        armijo = f_new <= f_old + _ARMIJO * slope[pending]
+        near = ~armijo & (np.abs(f_new - f_old) <= rounding[pending])
+        wolfe = np.zeros_like(near)
+        if near.any():
+            slope_new = _dot(g_new[near], step[pending[near]])
+            slope_old = slope[pending[near]]
+            wolfe[near] = (_WOLFE_SIGMA * slope_old <= slope_new) & (
+                slope_new <= (2.0 * _WOLFE_DELTA - 1.0) * slope_old)
+        accepted = armijo | wolfe
+        # a shorter step would change f by less than it can resolve
+        flat = ~accepted & (np.abs(slope[pending]) <= rounding[pending])
+        halve = pending[~accepted & ~flat]
+        scale[halve] *= 0.5
+        trials[halve] += 1
+        stall, propose = pending[flat], halve
+        begin = pending[accepted]
+        g_new = g_new[accepted]
+        # a non-finite g_new leaves the model as it is, and the next top stops on it
+        finite = np.isfinite(g_new).all(axis=1)
+        _update_models(H, has_model, begin[finite], step[begin[finite]], (g_new - g[begin])[finite])
+        x[begin], f[begin], g[begin], unit[begin] = trial[begin], f_new[accepted], g_new, unit_new[accepted]
+    for i in range(size):
+        if not singular[i]:
+            results[i] = LocalSearchResult(
+                Design(x[i].reshape(n, d)), float(f[i]), int(iterations[i]), float(grad_norm[i]), stops[i])
     return results
 
 
-def _descent(points, config):
-    """The descent of ``local_search`` from (n, d) points, as a run of ``_lockstep``.
+def _update_models(H, has_model, rows, s, y):
+    """BFGS update of the inverse-Hessian models H[rows] from steps s and gradient changes y.
 
-    Yields the start, then each trial of each line search. Returns the
-    LocalSearchResult, or the SingularDesignError of a singular start.
+    Only rows whose curvature s'y clears the floor update; a row without a
+    model starts from the identity.
     """
-    shape = points.shape
-    x = points.ravel()
-    priced = yield x
-    if isinstance(priced, SingularDesignError):
-        return priced
-    f, g, unit = priced
-    H = None  # the identity, until the first BFGS update is accepted
-    iterations = 0
-    while True:
-        if not np.isfinite(g).all():
-            stop, grad_norm = "nonfinite_gradient", math.inf
-            break
-        pg = projected_gradient(x, g)
-        grad_norm = float(abs(pg).max())
-        if grad_norm <= config.optimality_tol:
-            stop = "grad_tol"
-            break
-        if iterations == config.max_iterations:
-            stop = "max_iterations"
-            break
-        iterations += 1
-
-        if H is not None:
-            direction = -projected_gradient(x, H @ g)
-            if float(direction @ g) >= 0.0 or not direction.any():
-                # quasi-Newton model broke down; restart from steepest descent
-                H = None
-        if H is None:
-            direction = -pg
-
-        accepted = yield from _line_search(x, f, g, _ROUNDING_UNITS * unit, direction)
-        if accepted is None:
-            if H is None:
-                stop = "linesearch_stall"
-                break
-            # stale quasi-Newton model; retry this iterate from steepest descent
-            H = None
-            continue
-        x_new, f_new, g_new, unit_new = accepted
-        s = x_new - x
-        y = g_new - g
-        # a non-finite g_new leaves H as it is, and the next pass stops on it
-        sy = float(s @ y) if np.isfinite(g_new).all() else math.nan
-        if sy > _CURVATURE_FLOOR * (math.sqrt(float(s @ s)) * math.sqrt(float(y @ y))):
-            if H is None:
-                H = np.eye(x.size)
-            rho_inv = 1.0 / sy
-            Hy = H @ y
-            yHy = float(y @ Hy)
-            H = (
-                H
-                - rho_inv * (s[:, None] * Hy + Hy[:, None] * s)
-                + (rho_inv * rho_inv * yHy + rho_inv) * (s[:, None] * s)
-            )
-        x, f, g, unit = x_new, f_new, g_new, unit_new
-
-    return LocalSearchResult(Design(x.reshape(shape)), f, iterations, grad_norm, stop)
-
-
-def _line_search(x, f, g, rounding, direction):
-    """Backtrack along ``direction`` from x, where f is rounded at ``rounding``.
-
-    A sub-generator of ``_descent``: yields each trial, priced +inf where R
-    is singular. Returns (x_new, f_new, g_new, unit_new) on Armijo decrease
-    or on the approximate Wolfe conditions, or None on a stall.
-    """
-    step_scale = 1.0
-    for _ in range(_LINESEARCH_CAP):
-        candidate = np.minimum(np.maximum(x + step_scale * direction, -1.0), 1.0)
-        step = candidate - x
-        if not step.any():
-            return None
-        slope = float(g @ step)
-        priced = yield candidate
-        if isinstance(priced, SingularDesignError):
-            f_cand = math.inf
-        else:
-            f_cand, g_cand, unit_cand = priced
-        if f_cand <= f + _ARMIJO * slope:
-            return candidate, f_cand, g_cand, unit_cand
-        if abs(f_cand - f) <= rounding:
-            slope_cand = float(g_cand @ step)
-            if _WOLFE_SIGMA * slope <= slope_cand <= (2.0 * _WOLFE_DELTA - 1.0) * slope:
-                return candidate, f_cand, g_cand, unit_cand
-        if abs(slope) <= rounding:
-            # a shorter step would change f by less than it can resolve
-            return None
-        step_scale *= 0.5
-    return None
+    sy = _dot(s, y)
+    curved = sy > _CURVATURE_FLOOR * (np.sqrt(_dot(s, s)) * np.sqrt(_dot(y, y)))
+    if not curved.any():
+        return
+    s, y, sy, rows = s[curved], y[curved], sy[curved], rows[curved]
+    model = np.where(has_model[rows, None, None], H[rows], np.eye(s.shape[1]))
+    rho_inv = (1.0 / sy)[:, None, None]
+    Hy = (model @ y[:, :, None])[:, :, 0]
+    yHy = _dot(y, Hy)[:, None, None]
+    H[rows] = (
+        model
+        - rho_inv * (s[:, :, None] * Hy[:, None, :] + Hy[:, :, None] * s[:, None, :])
+        + (rho_inv * rho_inv * yHy + rho_inv) * (s[:, :, None] * s[:, None, :])
+    )
+    has_model[rows] = True
 
 
 def _generate_starts(n, d, count, rng):
@@ -362,11 +407,8 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
     if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (n, d)):
         raise ValueError("need n >= 1 points and d >= 1 dimensions")
     family.theta_for_dimension(d)
-    rng = np.random.default_rng(config.seed)
-    runs = [_descent(start, config) for start in _generate_starts(n, d, config.starts, rng)]
-    outcomes = [
-        o for o in _lockstep(family, (n, d), runs) if not isinstance(o, SingularDesignError)
-    ]
+    starts = np.stack(_generate_starts(n, d, config.starts, np.random.default_rng(config.seed)))
+    outcomes = [o for o in _descend(family, starts, config) if not isinstance(o, SingularDesignError)]
     # value and gradient ties happen where the criterion is flat to the last
     # ulp; within such a plateau every member is numerically equivalent, so
     # prefer the most stationary one, then the smallest-magnitude coordinates

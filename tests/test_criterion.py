@@ -206,6 +206,28 @@ def test_canonical_points_match_the_sign_flip_enumeration():
         assert (points * signs)[order].tobytes() == fast.tobytes()
 
 
+def test_one_sort_gives_the_canonical_form_of_every_d1_design():
+    # ties, 0.0 and -0.0, mirror-symmetric designs and uniform draws, mixed
+    # in one stack: points (sign bits included), row orders and signs agree
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        size, n = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        stack = np.where(
+            rng.random((size, n, 1)) < 0.6,
+            rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(size, n, 1)),
+            rng.uniform(-1.0, 1.0, size=(size, n, 1)),
+        )
+        for s in range(0, size, 2):
+            half = stack[s, : n // 2, 0]
+            stack[s, n - len(half):, 0] = -half[rng.permutation(len(half))]
+        points, order, signs = criterion._canonical_forms_1d(stack)
+        for s, design in enumerate(stack):
+            ref_points, ref_order, ref_signs = _canonical_form(design)
+            assert points[s].tobytes() == ref_points.tobytes()
+            assert np.array_equal(order[s], ref_order)
+            assert signs[s].tobytes() == np.array(ref_signs).tobytes()
+
+
 def test_canonical_points_sort_once_when_the_extreme_row_is_unique(monkeypatch):
     calls = []
     sort_rows = criterion._sort_rows
@@ -381,11 +403,8 @@ def test_value_and_gradient_share_the_bits_and_symmetries_of_imspe():
 
 
 def _scipy_factor(R):
-    # the scipy wrappers around dpotrf and dpotrs, with their own checks
-    cho = cho_factor(R, lower=True)
-    ones = np.ones(R.shape[0])
-    u = cho_solve(cho, ones)
-    return cho[0], u, float(u @ ones)
+    # the scipy wrapper around dpotrf, with its own checks
+    return cho_factor(R, lower=True)[0]
 
 
 def _scipy_solve(c, b):
@@ -472,16 +491,27 @@ def _per_axis_leave_one_out(factors):
 
 
 def _per_axis_evaluation(family, points):
-    """Value, R, W, v, gradient and rounding unit, assembled and contracted one axis at a time."""
+    """Value, R, W, v, gradient and rounding unit, one axis, one solve and one design at a time."""
     canonical, _, signs = _canonical_form(points)
     n, d = canonical.shape
     factors = _per_axis_factors(family, canonical)
     R, W, v = map(_per_axis_product, factors)
-    c, u, denom = criterion._factor(R)
-    value, terms, RiW, uW = criterion._value(c, u, denom, W, v)[:4]
+    c = criterion._factor(R)
+    ones = np.ones(n)
+    u = criterion._solve(c, ones)
+    denom = float(u @ ones)
+    if not np.isfinite(c).all() or (c.diagonal() <= 0.0).any() or not 0.0 < denom < math.inf:
+        raise SingularDesignError("correlation matrix is numerically singular")
+    if (canonical[1:] == canonical[:-1]).all(axis=1).any():
+        raise SingularDesignError("design has repeated points")
+    RiW = criterion._solve(c, W)
+    uW = u @ W
+    lin, quad = float(u @ v), float(uW @ u)
+    terms = (1.0, -float(np.trace(RiW)), 1.0 / denom, -2.0 * lin / denom, quad / denom)
+    value = math.fsum(terms)
     Rinv = criterion._solve(c, np.eye(n))
     uu = u[:, None] * u / denom
-    numerator = 1.0 - 2.0 * float(u @ v) + float(uW @ u)
+    numerator = 1.0 - 2.0 * lin + quad
     z = Rinv @ (uW - v)
     dW = uu - Rinv
     dv = -2.0 * u / denom
@@ -565,6 +595,24 @@ def test_coincident_points_name_the_leading_minor():
         message = str(info.value)
         assert message.startswith("correlation matrix is not positive definite: ")
         assert "2-th leading minor" in message
+
+
+def test_repeated_points_raise_even_where_the_factor_succeeds():
+    fam = CovarianceFamily("exponential", 4.39158914157464)
+    pts = np.array([0.5826086677441835, 0.5826086677441835, 1.0, 0.3328461741628328,
+                    -0.5, 0.0, -0.39368554925243693])[:, None]
+    canonical = _canonical_form(pts)[0]
+    # in this row order, rounding leaves R a tiny positive pivot (cond(R)
+    # near 5e16), where it used to price a value
+    criterion._factor(build_correlation_matrix(fam, canonical))
+    for call, points in ((imspe, pts), (_value_and_gradient, pts), (mspe_evaluator, canonical)):
+        with pytest.raises(SingularDesignError, match="^design has repeated points$"):
+            call(fam, points)
+    # in a batch, the design prices as its own error
+    distinct = np.linspace(-0.9, 0.9, 7)[:, None]
+    batch = criterion._values_and_gradients(fam, np.stack([pts, distinct, pts[::-1]]))
+    assert [str(entry) for entry in batch[::2]] == ["design has repeated points"] * 2
+    assert batch[1][0] == imspe_value(fam, distinct)
 
 
 @pytest.mark.parametrize("kind, theta", [("matern52", 1e200), ("matern32", 1e308)])

@@ -197,21 +197,25 @@ def test_line_search_prices_a_coincident_trial_as_inf(monkeypatch):
     def spy(family, stack):
         priced = exact(family, stack)
         raised.extend(str(p) for p in priced if isinstance(p, SingularDesignError))
+        if len(stack) == 1 and np.array_equal(stack[0, :, 0], [-0.9, 0.1]):
+            # at the start, steepest descent points along +x_0
+            value, _, unit = priced[0]
+            return [(value, np.array([[-1.0], [0.0]]), unit)]
         return priced
 
     monkeypatch.setattr(search, "_values_and_gradients", spy)
     fam = CovarianceFamily("gaussian", [1.0])
     x = np.array([-0.9, 0.1])
-    f, g, unit = exact(fam, x.reshape(1, 2, 1))[0]
+    f = imspe_value(fam, x)
     # the full step moves point 0 onto point 1; half of it is accepted
-    trial = search._line_search(x, f, g.ravel(), unit, np.array([1.0, 0.0]))
-    accepted = search._lockstep(fam, (2, 1), [trial])[0]
+    out = search._descend(fam, x.reshape(1, 2, 1), SearchConfig(max_iterations=1))[0]
     assert raised == [
         "correlation matrix is not positive definite: "
         "2-th leading minor of the array is not positive definite"
     ]
-    assert np.array_equal(accepted[0], [-0.4, 0.1])
-    assert accepted[1] < f
+    assert (out.stop_reason, out.iterations) == ("max_iterations", 1)
+    assert np.array_equal(out.design.points[:, 0], [-0.4, 0.1])
+    assert out.value < f
 
 
 def test_local_search_at_optimum_stays_put():
@@ -379,16 +383,123 @@ def _fields(outcome):
     ("matern32", [3.0], 3, 2, SearchConfig(starts=4, seed=0)),
 ])
 def test_multistart_outcomes_are_the_one_start_runs(kind, theta, n, d, config, monkeypatch):
-    fam = CovarianceFamily(kind, theta)
-    alone = [local_search(fam, start, config) for start in _starts(n, d, config)]
+    _assert_lockstep_is_alone(CovarianceFamily(kind, theta), n, d, config, _starts(n, d, config), monkeypatch)
+
+
+def _reference_descent(family, points, config):
+    """One start's descent as a plain loop, pricing one point per call: the lockstep driver's reference."""
+    def price(x):
+        priced = search._values_and_gradients(family, x.reshape((1,) + points.shape))[0]
+        if isinstance(priced, SingularDesignError):
+            return math.inf, None, None
+        value, grad, unit = priced
+        return value, grad.ravel(), unit
+
+    x = points.ravel()
+    f, g, unit = price(x)
+    if g is None:
+        return None
+    H, iterations = None, 0
+    while True:
+        if not np.isfinite(g).all():
+            stop, grad_norm = "nonfinite_gradient", math.inf
+            break
+        pg = projected_gradient(x, g)
+        grad_norm = float(abs(pg).max())
+        if grad_norm <= config.optimality_tol:
+            stop = "grad_tol"
+            break
+        if iterations == config.max_iterations:
+            stop = "max_iterations"
+            break
+        iterations += 1
+        if H is not None:
+            direction = -projected_gradient(x, H @ g)
+            if float(direction @ g) >= 0.0 or not direction.any():
+                H = None
+        if H is None:
+            direction = -pg
+        rounding, scale, accepted = search._ROUNDING_UNITS * unit, 1.0, None
+        for _ in range(search._LINESEARCH_CAP):
+            candidate = np.minimum(np.maximum(x + scale * direction, -1.0), 1.0)
+            step = candidate - x
+            if not step.any():
+                break
+            slope = float(g @ step)
+            f_new, g_new, unit_new = price(candidate)
+            if f_new <= f + search._ARMIJO * slope:
+                accepted = candidate, f_new, g_new, unit_new
+                break
+            if abs(f_new - f) <= rounding:
+                slope_new = float(g_new @ step)
+                if search._WOLFE_SIGMA * slope <= slope_new <= (2.0 * search._WOLFE_DELTA - 1.0) * slope:
+                    accepted = candidate, f_new, g_new, unit_new
+                    break
+            if abs(slope) <= rounding:
+                break
+            scale *= 0.5
+        if accepted is None:
+            if H is None:
+                stop = "linesearch_stall"
+                break
+            H = None
+            continue
+        x_new, f_new, g_new, unit_new = accepted
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y) if np.isfinite(g_new).all() else math.nan
+        if sy > search._CURVATURE_FLOOR * (math.sqrt(float(s @ s)) * math.sqrt(float(y @ y))):
+            H = np.eye(x.size) if H is None else H
+            rho_inv, Hy = 1.0 / sy, H @ y
+            H = (H - rho_inv * (s[:, None] * Hy + Hy[:, None] * s)
+                 + (rho_inv * rho_inv * float(y @ Hy) + rho_inv) * (s[:, None] * s))
+        x, f, g, unit = x_new, f_new, g_new, unit_new
+    return search.LocalSearchResult(Design(x.reshape(points.shape)), f, iterations, grad_norm, stop)
+
+
+def _assert_lockstep_is_alone(fam, n, d, config, starts, monkeypatch):
+    alone = []
+    for start in starts:
+        try:
+            alone.append(local_search(fam, start, config))
+        except SingularDesignError:
+            pass
+    reference = [_reference_descent(fam, start, config) for start in starts]
+    assert [_fields(o) for o in alone] == [_fields(o) for o in reference if o is not None]
 
     def forbidden(*args):
         raise AssertionError("the multistart ran a start on its own")
 
     # the multistart runs all of its starts in lockstep, not one at a time
+    monkeypatch.setattr(search, "_generate_starts", lambda *args: starts)
     monkeypatch.setattr(search, "local_search", forbidden)
     res = multistart_search(fam, n, d, config)
     assert [_fields(o) for o in res.outcomes] == [_fields(o) for o in alone]
+    return res
+
+
+def test_multistart_outcomes_are_the_one_start_runs_at_every_stop_reason(monkeypatch):
+    config = SearchConfig(starts=10, seed=0, max_iterations=9)
+    starts = _starts(3, 1, config)
+    starts.insert(3, np.full((3, 1), 0.25))  # coincident: a singular start
+    exact = search._values_and_gradients
+
+    def seam(family, stack):
+        # a first point past 0.8 poisons the gradient; below -0.7 the
+        # gradient points uphill, so every trial from there is refused
+        priced = exact(family, stack)
+        for k, (points, entry) in enumerate(zip(stack, priced)):
+            if not isinstance(entry, SingularDesignError):
+                value, grad, unit = entry
+                if points[0, 0] > 0.8:
+                    priced[k] = value, np.full_like(grad, np.nan), unit
+                elif points[0, 0] < -0.7:
+                    priced[k] = value, -grad, unit
+        return priced
+
+    monkeypatch.setattr(search, "_values_and_gradients", seam)
+    res = _assert_lockstep_is_alone(CovarianceFamily("matern52", [2.0]), 3, 1, config, starts, monkeypatch)
+    assert len(res.outcomes) == len(starts) - 1
+    assert {o.stop_reason for o in res.outcomes} == set(STOP_REASONS)
 
 
 def test_multistart_assembles_once_per_round(monkeypatch):

@@ -21,6 +21,12 @@ Hashed, in order:
   error raised;
 - the search's ``_value_and_gradient`` on the same designs: the value, the
   gradient bytes and the rounding unit in hex, or the error raised;
+- ``_values_and_gradients`` on stacks of 1, 2, 7 and 32 designs per family,
+  as one search round prices them: d = 1 stacks that mix designs with tied
+  coordinates, 0.0 and -0.0, mirror-symmetric designs and uniform draws,
+  and d = 2 stacks at one theta and at one theta per axis, each stack of
+  two or more with a design of coincident points in its middle; every
+  entry's value, rounding unit and gradient bytes, or its error;
 - on the same designs, in input order: the bytes of
   ``build_correlation_matrix``, ``build_pair_matrix`` and
   ``build_single_vector``, ``correlation`` in hex on every pair of rows,
@@ -76,7 +82,7 @@ from imspe import (
     single_integral,
 )
 from imspe.cli import main
-from imspe.criterion import _value_and_gradient
+from imspe.criterion import _value_and_gradient, _values_and_gradients
 
 
 def _designs(rng):
@@ -120,6 +126,46 @@ def _gradients(digest, designs):
             continue
         digest.update(f"{value.hex()} {unit.hex()}".encode())
         digest.update(grad.tobytes())
+
+
+def _signed_ties(rng, shape):
+    grid = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=shape)
+    return np.where(rng.random(shape) < 0.5, grid, rng.uniform(-1.0, 1.0, size=shape))
+
+
+def _mirrored(rng, n):
+    half = rng.uniform(-1.0, 1.0, size=n // 2)
+    middle = rng.choice([-0.0, 0.0], size=n % 2)
+    return rng.permutation(np.concatenate((half, -half, middle)))[:, None]
+
+
+def _stacks(rng):
+    for kind in FAMILY_KINDS:
+        for size in (1, 2, 7, 32):
+            n = int(rng.integers(1, 13))
+            draws = (
+                lambda: _signed_ties(rng, (n, 1)),
+                lambda: _mirrored(rng, n),
+                lambda: rng.uniform(-1.0, 1.0, size=(n, 1)),
+            )
+            stack = np.stack([draws[rng.integers(3)]() for _ in range(size)])
+            yield kind, [float(rng.uniform(0.5, 5.0))], stack
+            theta = rng.uniform(0.5, 5.0, size=2).tolist()
+            for family_theta in (theta[:1], theta):
+                yield kind, family_theta, _signed_ties(rng, (size, n, 2))
+
+
+def _stacked_rounds(digest, rng):
+    for kind, theta, stack in _stacks(rng):
+        if len(stack) > 1:
+            stack[len(stack) // 2] = stack[len(stack) // 2, 0]
+        for priced in _values_and_gradients(CovarianceFamily(kind, theta), stack):
+            if isinstance(priced, ImspeError):
+                _update_error(digest, priced)
+                continue
+            value, grad, unit = priced
+            digest.update(f"{value.hex()} {unit.hex()}".encode())
+            digest.update(grad.tobytes())
 
 
 def _assemblies(digest, designs):
@@ -248,6 +294,7 @@ def fingerprint():
     designs = list(_designs(np.random.default_rng(20171)))
     _evaluations(section("evaluations"), designs)
     _gradients(section("gradients"), designs)
+    _stacked_rounds(section("stacked rounds"), np.random.default_rng(20175))
     _assemblies(section("assemblies"), designs)
     _cross_correlations(section("cross correlations"), np.random.default_rng(20174))
     _anchor_batches(section("anchor batches"), np.random.default_rng(20172))
