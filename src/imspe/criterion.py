@@ -13,10 +13,13 @@ average of row i (tensor products over dimensions),
 
     imspe = 1 - tr(R^{-1} W) + (1 - 2 u'v + u'Wu) / (u'1),   u = R^{-1} 1.
 
-The per-axis factors of R, W and v come as (d, n, n), (d, n, n) and
-(d, n) stacks, from one call of each family's closed form on the
-coordinate stacks of ``kernels._operands``, and ``kernels._product`` takes
-R, W and v over the axes, as ``cross_correlation`` does. The value
+R and W are symmetric bit for bit (each closed form is exactly symmetric
+under anchor interchange), so their per-axis factors are taken only on the
+T = n(n+1)/2 anchor pairs i <= j. The factors of R, W and v come as (d, T),
+(d, T) and (d, n) stacks, from one call of each family's closed form on
+the coordinate stacks of ``kernels._operands``; ``kernels._product`` takes
+them over the axes, as ``cross_correlation`` does, and one ``take``
+through a cached (n, n) index of slots fills R and W in. The value
 and the search's exact gradient (``_values_and_gradients``) share those
 stacks and one Cholesky factorization of R, made by LAPACK ``dpotrf``
 (``_factor``); every solve is one ``dpotrs`` call on that factor
@@ -29,7 +32,8 @@ The search prices a batch of designs at once: ``_values_and_gradients``
 takes an (S, n, d) stack, one design per live start. ``_operands`` keeps
 the coordinate axis first and puts the start axis second, so each closed
 form, each slope, the products over axes and the adjoint's contractions
-run once for the whole batch, on (d, S, n, n) stacks. One value step
+run once for the whole batch, on (d, S, T) triangle stacks and, for the
+slopes and the adjoint, (d, S, n, n) stacks. One value step
 (``_priced``) serves the batch and ``imspe()``, its batch of one: each
 design keeps its own ``dpotrf`` factor, ``dpotrs`` solves and exact sum,
 which keeps LAPACK's bits and lets a singular design price as its own
@@ -39,6 +43,7 @@ gradient back to each design's row order run on the stack.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -171,31 +176,73 @@ def build_correlation_matrix(family, design):
     return cross_correlation(family, dsn.points, dsn.points)
 
 
-def _axis_factors(kind, theta, col, row):
-    """Per-axis factors of R, W and v from ``_operands``: (d, n, n), (d, n, n) and (d, n) stacks.
+@functools.lru_cache(maxsize=64)
+def _triangle(n):
+    """Row and column indices (i, j) of the n(n+1)/2 anchor pairs i <= j of n points, and their (n, n) slots.
 
-    On an (S, n, d) stack of designs they are (d, S, n, n), (d, S, n, n) and (d, S, n).
+    The pairs come in ``np.triu_indices`` order, and slot[i, j] = slot[j, i]
+    is the position of the pair {i, j} among them. The arrays are cached
+    for the last 64 sizes, so they are read-only.
     """
-    return (
-        _correlations(kind, theta, col, row),
-        _PAIR[kind](theta, col, row),
-        _SINGLE[kind](theta, col)[..., 0],
-    )
+    i, j = np.triu_indices(n)
+    slot = np.empty((n, n), dtype=np.intp)
+    slot[i, j] = slot[j, i] = np.arange(len(i))
+    for array in (i, j, slot):
+        array.setflags(write=False)
+    return i, j, slot
+
+
+def _anchors(theta, col):
+    """``_operands``' theta and column stack, shaped for the upper-triangle anchors.
+
+    Returns theta, the (d, n) coordinate stack and the (d, T) anchor stacks
+    a = x_i and b = x_j of the pairs i <= j of ``_triangle``; an (S, n, d)
+    stack of designs gives (d, S, n) and (d, S, T) stacks.
+    """
+    cols = col[..., 0]
+    i, j, _ = _triangle(cols.shape[-1])
+    # one theta per axis comes as a (d, 1, 1) stack, for (d, n, n) grids
+    theta = theta if np.ndim(theta) == 0 else theta[..., 0]
+    return theta, cols, cols.take(i, axis=-1), cols.take(j, axis=-1)
+
+
+def _filled(triangle, n):
+    """Symmetric, C-contiguous (..., n, n) stack from a (..., T) stack over the pairs i <= j."""
+    # take keeps C order; triangle[..., slot] would return a transposed
+    # layout, slower to gather and read by BLAS in another arithmetic order
+    return triangle.take(_triangle(n)[2], axis=-1)
+
+
+def _axis_factors(kind, theta, col):
+    """Per-axis factors of R, W and v from ``_operands``' theta and column stack.
+
+    R and W are symmetric under anchor interchange, bit for bit, so their
+    factors are taken on the upper-triangle anchors alone: (d, T), (d, T)
+    and (d, n) stacks with T = n(n+1)/2, or (d, S, T), (d, S, T) and
+    (d, S, n) on an (S, n, d) stack of designs.
+    """
+    theta, cols, a, b = _anchors(theta, col)
+    return _correlations(kind, theta, a, b), _PAIR[kind](theta, a, b), _SINGLE[kind](theta, cols)
 
 
 def _assemble(family, points):
-    """``_operands`` of checked (n, d) points or an (S, n, d) stack, their factor stacks and finite products R, W and v."""
+    """``_operands`` of checked (n, d) points or an (S, n, d) stack, their factor stacks and finite products R, W and v.
+
+    R and W are multiplied over the axes on the triangle, then ``_filled``.
+    """
     operands = _operands(family, points)
-    factors = _axis_factors(*operands)
+    factors = _axis_factors(*operands[:3])
     R, W, v = map(_product, factors)
     _check_finite(family.kind, family.theta, R=R, W=W, v=v)
-    return operands, factors, R, W, v
+    n = points.shape[-2]
+    return operands, factors, _filled(R, n), _filled(W, n), v
 
 
 def build_pair_matrix(family, design):
     """Symmetric n x n matrix of pair averages W_ij over the box (tensor product over axes)."""
-    kind, theta, col, row = _operands(family, as_design(design).points)
-    return _product(_PAIR[kind](theta, col, row))
+    kind, theta, col, _ = _operands(family, as_design(design).points)
+    theta, cols, a, b = _anchors(theta, col)
+    return _filled(_product(_PAIR[kind](theta, a, b)), cols.shape[-1])
 
 
 def build_single_vector(family, design):
@@ -400,8 +447,9 @@ def _values_and_gradients(family, stack):
 
     Coordinate x_ik enters row and column i of R and W and entry i of v,
     each through its axis-k factor, so the chain rule contracts the stack of
-    per-axis slopes, times the stack of products of the other axes' factors,
-    over rows, for all axes at once, in O(n^2 d).
+    per-axis slopes, times the stack of products of the other axes' factors
+    (taken on the triangle, then ``_filled``), over rows, for all axes at
+    once, in O(n^2 d).
     A tied coordinate takes sign(0) = 0 in R, the mean of the one-sided
     slopes of the exponential kernel. Rows and signs are mapped back through
     the canonicalization.
@@ -434,6 +482,7 @@ def _values_and_gradients(family, stack):
     sW = _DPAIR[kind](theta, col, row)
     sv = _dsingle(kind, theta, col)[..., 0]
     R_rest, W_rest, v_rest = map(_leave_one_out, factors)
+    R_rest, W_rest = _filled(R_rest, n), _filled(W_rest, n)
     # R and W are symmetric, so row i and column i contribute alike
     rows = (dR * sR * R_rest).sum(axis=-1) + (dW * sW * W_rest).sum(axis=-1)
     grad = 2.0 * rows + dv * sv * v_rest

@@ -172,9 +172,10 @@ class Design:
         pts = _as_points(points)
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidDesignError("a design needs at least one point and one dimension")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidDesignError("design coordinates must be finite")
-        if np.any(np.abs(pts) > 1.0):
+        # one pass: NaN fails the comparison too; the message is picked on failure
+        if not (np.abs(pts) <= 1.0).all():
+            if not np.isfinite(pts).all():
+                raise InvalidDesignError("design coordinates must be finite")
             raise InvalidDesignError("design coordinates must lie in [-1, 1]")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

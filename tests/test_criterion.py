@@ -425,7 +425,7 @@ def _leave_one_out_from_ones(factors):
         before.append(before[-1] * factor)
     for factor in factors[:0:-1]:
         after.append(after[-1] * factor)
-    return [head * tail for head, tail in zip(before, reversed(after))]
+    return np.array([head * tail for head, tail in zip(before, reversed(after))])
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -548,22 +548,68 @@ def test_stacked_axes_have_the_bits_of_one_axis_at_a_time():
                             with pytest.raises(SingularDesignError):
                                 call(fam, pts)
                         continue
-                    ev = imspe(fam, pts)
-                    value, grad, unit = _value_and_gradient(fam, pts)
-                    ref_value, ref_R, ref_W, ref_v, ref_grad, ref_unit = expected
-                    assert ev.value.hex() == value.hex() == ref_value.hex()
-                    for array, reference in ((ev.R, ref_R), (ev.W, ref_W), (ev.v, ref_v), (grad, ref_grad)):
-                        assert array.tobytes() == reference.tobytes()
-                    assert unit.hex() == ref_unit.hex()
+                    _assert_has_the_bits_of(expected, fam, pts)
+
+
+def _assert_has_the_bits_of(expected, fam, pts):
+    ev = imspe(fam, pts)
+    value, grad, unit = _value_and_gradient(fam, pts)
+    ref_value, ref_R, ref_W, ref_v, ref_grad, ref_unit = expected
+    assert ev.value.hex() == value.hex() == ref_value.hex()
+    for array, reference in ((ev.R, ref_R), (ev.W, ref_W), (ev.v, ref_v), (grad, ref_grad)):
+        assert array.tobytes() == reference.tobytes()
+    assert unit.hex() == ref_unit.hex()
+
+
+def test_large_designs_have_the_bits_of_one_axis_at_a_time():
+    # the triangle saves most at the largest designs; one point per stratum
+    # and theta growing with n (with n^2 for the gaussian's h^2) keep R
+    # positive definite
+    rng = np.random.default_rng(11)
+    for kind in FAMILY_KINDS:
+        for n in (32, 64):
+            for d in (1, 2):
+                strata = np.stack([rng.permutation(n) for _ in range(d)], axis=1)
+                pts = (strata + rng.uniform(0.0, 1.0, size=(n, d))) / n * 2.0 - 1.0
+                pts[0, -1] = -0.0
+                anisotropic = n ** (1 + (kind == "gaussian")) * rng.uniform(0.5, 2.0, size=d)
+                for fam in (CovarianceFamily(kind, anisotropic), CovarianceFamily(kind, anisotropic[0])):
+                    _assert_has_the_bits_of(_per_axis_evaluation(fam, pts), fam, pts)
+
+
+def test_filled_stacks_are_c_contiguous(monkeypatch):
+    # BLAS picks its arithmetic by memory order, so R, W and the filled
+    # leave-one-out stacks must keep the C order a full grid had
+    filled = []
+    original = criterion._filled
+
+    def recording(triangle, n):
+        filled.append(original(triangle, n))
+        return filled[-1]
+
+    monkeypatch.setattr(criterion, "_filled", recording)
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3):
+        fam = CovarianceFamily("matern52", rng.uniform(0.5, 5.0, size=d))
+        pts = rng.uniform(-1.0, 1.0, size=(7, d))
+        ev = imspe(fam, pts)
+        assert ev.R.flags.c_contiguous and ev.W.flags.c_contiguous
+        filled.clear()
+        criterion._values_and_gradients(fam, np.stack([pts, pts[::-1], -pts]))
+        # R and W, then the leave-one-out stacks of R and W
+        assert [array.shape for array in filled] == [(3, 7, 7)] * 2 + [(d, 3, 7, 7)] * 2
+        assert all(array.flags.c_contiguous for array in filled)
 
 
 @pytest.mark.parametrize("d", [1, 2, 6, 10])
 def test_each_closed_form_runs_once_for_all_axes(d, monkeypatch):
     calls = {}
+    anchors = {}
 
     def counting(name, fn):
         def wrapped(*args):
             calls[name] = calls.get(name, 0) + 1
+            anchors.setdefault(name, [np.shape(arg) for arg in args[1:]])
             return fn(*args)
         return wrapped
 
@@ -578,8 +624,11 @@ def test_each_closed_form_runs_once_for_all_axes(d, monkeypatch):
         for theta in (2.0, rng.uniform(0.5, 5.0, size=d)):
             fam = CovarianceFamily(kind, theta)
             calls.clear()
-            criterion._axis_factors(*criterion._operands(fam, pts))
+            anchors.clear()
+            criterion._axis_factors(*criterion._operands(fam, pts)[:3])
             assert calls == {"rho": 1, "pair": 1, "single": 1}
+            # R and W on the 15 anchor pairs i <= j of 5 points, v on the points
+            assert anchors == {"rho": [(d, 15)], "pair": [(d, 15), (d, 15)], "single": [(d, 5)]}
             calls.clear()
             _value_and_gradient(fam, pts)
             # the one _dsingle call takes rho at 1 + a and at 1 - a

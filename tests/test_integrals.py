@@ -24,6 +24,7 @@ from imspe import (
     pair_integral,
     single_integral,
 )
+from imspe import integrals, kernels
 
 coords = st.floats(-1.0, 1.0, allow_nan=False)
 THETAS = (0.1, 1.0, 10.0)
@@ -89,6 +90,25 @@ def test_pair_interchange_symmetry_bit_exact(kind, theta, a, b):
     assert float(pair_integral(kind, theta, a, b)) == float(
         pair_integral(kind, theta, b, a)
     )
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_anchor_interchange_is_bit_exact_on_array_anchors(kind):
+    # the assembly takes R and W on the anchor pairs i <= j alone and fills
+    # in the rest, so swapping the anchor arrays must keep every byte; ties,
+    # 0.0 against -0.0, the box edges and one theta per axis included
+    rng = np.random.default_rng(FAMILY_KINDS.index(kind))
+    grid = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    shape = (3, 400)
+    a = np.where(rng.random(shape) < 0.5, rng.choice(grid, size=shape), rng.uniform(-1.0, 1.0, size=shape))
+    b = np.where(rng.random(shape) < 0.5, rng.choice(grid, size=shape), rng.uniform(-1.0, 1.0, size=shape))
+    b[:, :50] = a[:, :50]  # ties
+    b[:, 50:60], a[:, 50:60] = 0.0, -0.0
+    for theta in (np.float64(2.5), rng.uniform(0.05, 20.0, size=(3, 1)), np.array([[1e-6], [1.0], [1e2]])):
+        forward = kernels._correlations(kind, theta, a, b)
+        assert forward.tobytes() == kernels._correlations(kind, theta, b, a).tobytes()
+        forward = integrals._PAIR[kind](theta, a, b)
+        assert forward.tobytes() == integrals._PAIR[kind](theta, b, a).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

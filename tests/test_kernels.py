@@ -174,6 +174,21 @@ def test_design_validation():
     assert np.array_equal(as_design([[0.0, 0.5]]).points, [[0.0, 0.5]])
 
 
+def test_design_names_why_its_points_are_rejected():
+    # one pass rejects both; the message tells a non-finite coordinate from
+    # one outside the box
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidDesignError, match=r"^design coordinates must be finite$"):
+            Design([[0.5, bad], [0.0, 1.0]])
+    for bad in (np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0)):
+        with pytest.raises(InvalidDesignError, match=r"^design coordinates must lie in \[-1, 1\]$"):
+            Design([[0.5, bad], [0.0, 1.0]])
+    # a non-finite coordinate is named even beside one outside the box
+    with pytest.raises(InvalidDesignError, match="finite"):
+        Design([1.5, math.nan])
+    assert Design([-1.0, 1.0, -0.0]).n == 3
+
+
 def test_design_points_read_only():
     dsn = Design([0.1, 0.2])
     with pytest.raises(ValueError):

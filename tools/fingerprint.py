@@ -27,6 +27,13 @@ Hashed, in order:
   and d = 2 stacks at one theta and at one theta per axis, each stack of
   two or more with a design of coincident points in its middle; every
   entry's value, rounding unit and gradient bytes, or its error;
+- large designs, n in {32, 33, 64} and d in {1, 2, 6} per family, at one
+  theta per axis and at one theta for all axes: Latin-hypercube points with
+  one -0.0 coordinate and, for d >= 2, ties on the first axis; ``imspe()``'s
+  value in hex and the bytes of R, W and v, then ``_value_and_gradient``'s
+  value, gradient bytes and rounding unit (or the error raised); then one
+  5-design ``_values_and_gradients`` stack per family at n = 33, d = 2 (an
+  odd count of anchor pairs), at both theta forms;
 - on the same designs, in input order: the bytes of
   ``build_correlation_matrix``, ``build_pair_matrix`` and
   ``build_single_vector``, ``correlation`` in hex on every pair of rows,
@@ -159,13 +166,42 @@ def _stacked_rounds(digest, rng):
     for kind, theta, stack in _stacks(rng):
         if len(stack) > 1:
             stack[len(stack) // 2] = stack[len(stack) // 2, 0]
-        for priced in _values_and_gradients(CovarianceFamily(kind, theta), stack):
-            if isinstance(priced, ImspeError):
-                _update_error(digest, priced)
-                continue
-            value, grad, unit = priced
-            digest.update(f"{value.hex()} {unit.hex()}".encode())
-            digest.update(grad.tobytes())
+        _priced_stack(digest, CovarianceFamily(kind, theta), stack)
+
+
+def _priced_stack(digest, family, stack):
+    for priced in _values_and_gradients(family, stack):
+        if isinstance(priced, ImspeError):
+            _update_error(digest, priced)
+            continue
+        value, grad, unit = priced
+        digest.update(f"{value.hex()} {unit.hex()}".encode())
+        digest.update(grad.tobytes())
+
+
+def _latin(rng, n, d):
+    strata = np.stack([rng.permutation(n) for _ in range(d)], axis=1)
+    points = (strata + rng.uniform(0.0, 1.0, size=(n, d))) / n * 2.0 - 1.0
+    points[0, -1] = -0.0
+    if d > 1:
+        points[1::8, 0] = points[0, 0]
+    return points
+
+
+def _large_designs(digest, rng):
+    for kind in FAMILY_KINDS:
+        for n in (32, 33, 64):
+            for d in (1, 2, 6):
+                # theta grows with n so that R stays usable
+                theta = (n * rng.uniform(0.5, 2.0, size=d)).tolist()
+                for family_theta in (theta, theta[:1]):
+                    design = [(kind, family_theta, _latin(rng, n, d))]
+                    _evaluations(digest, design)
+                    _gradients(digest, design)
+        theta = (33 * rng.uniform(0.5, 2.0, size=2)).tolist()
+        stack = np.stack([_latin(rng, 33, 2) for _ in range(5)])
+        for family_theta in (theta, theta[:1]):
+            _priced_stack(digest, CovarianceFamily(kind, family_theta), stack)
 
 
 def _assemblies(digest, designs):
@@ -295,6 +331,7 @@ def fingerprint():
     _evaluations(section("evaluations"), designs)
     _gradients(section("gradients"), designs)
     _stacked_rounds(section("stacked rounds"), np.random.default_rng(20175))
+    _large_designs(section("large designs"), np.random.default_rng(20176))
     _assemblies(section("assemblies"), designs)
     _cross_correlations(section("cross correlations"), np.random.default_rng(20174))
     _anchor_batches(section("anchor batches"), np.random.default_rng(20172))
