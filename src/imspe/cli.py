@@ -314,6 +314,13 @@ def build_parser():
         default = getattr(DEFAULT_CONFIG, field)
         search_common.add_argument(flag, type=type(default), default=default, help=help_text)
 
+    family_common = argparse.ArgumentParser(add_help=False)
+    family_common.add_argument("--family", required=True, choices=FAMILY_KINDS)
+    family_common.add_argument(
+        "--theta", type=float, action="append", required=True,
+        help="length scale; repeat once per dimension for anisotropy",
+    )
+
     parser = argparse.ArgumentParser(
         prog="imspe",
         description="Closed-form integrated-prediction-variance evaluation and design search on [-1, 1]^d.",
@@ -321,12 +328,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_eval = sub.add_parser(
-        "eval", parents=[common], help="criterion value of a given design"
-    )
-    p_eval.add_argument("--family", required=True, choices=FAMILY_KINDS)
-    p_eval.add_argument(
-        "--theta", type=float, action="append", required=True,
-        help="length scale; repeat once per dimension for anisotropy",
+        "eval", parents=[common, family_common], help="criterion value of a given design"
     )
     p_eval.add_argument(
         "--points", action="append", required=True, metavar="X[,Y,...]",
@@ -350,12 +352,7 @@ def build_parser():
     p_int.set_defaults(func=cmd_integral)
 
     p_search = sub.add_parser(
-        "search", parents=[common, search_common], help="multistart design optimization"
-    )
-    p_search.add_argument("--family", required=True, choices=FAMILY_KINDS)
-    p_search.add_argument(
-        "--theta", type=float, action="append", required=True,
-        help="length scale; repeat once per dimension for anisotropy",
+        "search", parents=[common, search_common, family_common], help="multistart design optimization"
     )
     p_search.add_argument("--n", type=int, required=True, help="number of design points")
     p_search.add_argument("--d", type=int, default=1, help="dimension of the box")

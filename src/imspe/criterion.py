@@ -333,26 +333,29 @@ def imspe(family, design):
     """
     points = _canonical_form(as_design(design).points)[0]
     R, W, v = _assemble(family, points)[2:]
-    priced = _priced(R[None], W[None], v[None], points[None])[0][0]
-    if isinstance(priced, SingularDesignError):
-        raise priced
-    return ImspeEvaluation(value=priced[0], R=R, W=W, v=v)
+    values, _, errors, _ = _priced(R[None], W[None], v[None], points[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return ImspeEvaluation(value=float(values[0]), R=R, W=W, v=v)
 
 
 def _priced(R, W, v, rows, adjoint=False):
-    """Each design's (value, rounding unit) or SingularDesignError, and the solves behind them.
+    """Values, rounding units and errors of a stack of designs, and the solves behind them.
 
     R and W are (S, n, n) stacks, v an (S, n) stack and ``rows`` the
-    designs' sorted (S, n, d) points. Each design gets one ``dpotrf``
-    factor, which keeps LAPACK's bits, one ``dpotrs`` call on the columns
-    [1 | W] of the stack and one exact sum of its five terms; the checks,
-    the dot products and the trace run on the stack. With ``adjoint`` the
-    columns are [1 | W | I], which also gives R^{-1}, and a second call
-    gives R^{-1} W R^{-1}. Also returns u = R^{-1} 1, 1'u, u'W,
-    u'v and u'Wu, and with ``adjoint`` R^{-1} and R^{-1} W R^{-1}; a
-    singular design's entries there are placeholders. Every solution keeps
-    the Fortran order ``dpotrs`` gives it, since BLAS products of R^{-1}
-    pick their arithmetic by memory order.
+    designs' sorted (S, n, d) points. Returns the (S,) values, the (S,)
+    rounding units, a list of S entries holding None or the design's
+    SingularDesignError, and the solves; a singular design's value is +inf
+    and its unit 0.0. Each design gets one ``dpotrf`` factor, which keeps
+    LAPACK's bits, one ``dpotrs`` call on the columns [1 | W] of the stack
+    and one exact sum of its five terms; the checks, the dot products and
+    the trace run on the stack. With ``adjoint`` the columns are
+    [1 | W | I], which also gives R^{-1}, and a second call gives
+    R^{-1} W R^{-1}. The solves are u = R^{-1} 1, 1'u, u'W, u'v and u'Wu,
+    and with ``adjoint`` R^{-1} and R^{-1} W R^{-1}; a singular design has
+    zeros there (and 1.0 for 1'u). Every solution keeps the Fortran order
+    ``dpotrs`` gives it, since BLAS products of R^{-1} pick their
+    arithmetic by memory order.
     """
     size, n = v.shape
     # design s's solution of column k is solved[s, k]
@@ -388,19 +391,18 @@ def _priced(R, W, v, rows, adjoint=False):
     uW = (row @ W)[:, 0]
     lin = (row @ v[:, :, None])[:, 0, 0]
     quad = (uW[:, None, :] @ u[:, :, None])[:, 0, 0]
-    priced = []
+    values, units = np.full(size, math.inf), np.zeros(size)
     traces = solved[:, 1:n + 1].trace(axis1=1, axis2=2)
-    for error, *sums in zip(errors, traces.tolist(), denom.tolist(), lin.tolist(), quad.tolist()):
-        if error is None:
-            trace, ones_u, v_u, uWu = sums
+    sums = zip(traces.tolist(), denom.tolist(), lin.tolist(), quad.tolist())
+    for s, (trace, ones_u, v_u, uWu) in enumerate(sums):
+        if errors[s] is None:
             terms = (1.0, -trace, 1.0 / ones_u, -2.0 * v_u / ones_u, uWu / ones_u)
             # exact summation keeps the n = 1 identity value == 2 - 2 v[0] bit-exact
-            error = math.fsum(terms), _EPS * math.fsum(map(abs, terms))
-        priced.append(error)
+            values[s], units[s] = math.fsum(terms), _EPS * math.fsum(map(abs, terms))
     solves = u, denom, uW, lin, quad
     if adjoint:
         solves += solved[:, n + 1:].transpose(0, 2, 1), RiWRi
-    return priced, solves
+    return values, units, errors, solves
 
 
 def _leave_one_out(stack):
@@ -421,19 +423,22 @@ def _value_and_gradient(family, points):
     The one-design case of ``_values_and_gradients``: raises
     SingularDesignError like ``imspe()``.
     """
-    priced = _values_and_gradients(family, points[None])[0]
-    if isinstance(priced, SingularDesignError):
-        raise priced
-    return priced
+    values, grads, units, errors = _values_and_gradients(family, points[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return float(values[0]), grads[0], float(units[0])
 
 
 def _values_and_gradients(family, stack):
     """Criterion, gradient and rounding unit of each design in an (S, n, d) stack of checked points.
 
-    Entry s is (value, gradient, unit) for design s, or the
-    SingularDesignError that makes it singular; a singular design leaves the
-    others' bits alone. The value is ``imspe(family, stack[s]).value`` bit for bit:
-    the same canonical points, axis factors, products, factor and exact sum.
+    Returns (S,) values, (S, n, d) gradients, (S,) rounding units and a
+    list of S errors: entry s of the list is None, or the
+    SingularDesignError that makes design s singular, whose row then holds
+    +inf, a 0.0 unit and a zero gradient (``_priced`` zeroes its solves).
+    A singular design leaves the others' bits alone. The value is
+    ``imspe(family, stack[s]).value`` bit for bit: the same canonical
+    points, axis factors, products, factor and exact sum.
     The rounding unit is machine epsilon times the sum of the magnitudes of
     the value's five terms: the value is a small difference of terms near 1,
     so it is rounded on their scale, not on its own. The gradient, shaped
@@ -468,7 +473,7 @@ def _values_and_gradients(family, stack):
         order = np.stack([form[1] for form in forms])
         signs = np.array([form[2] for form in forms])
     (kind, theta, col, row), factors, R, W, v = _assemble(family, canonical)
-    priced, (u, denom, uW, lin, quad, Rinv, RiWRi) = _priced(R, W, v, canonical, adjoint=True)
+    values, units, errors, (u, denom, uW, lin, quad, Rinv, RiWRi) = _priced(R, W, v, canonical, adjoint=True)
     z = (Rinv @ (uW - v)[:, :, None])[:, :, 0]
     numerator = 1.0 - 2.0 * lin + quad
     denom = denom[:, None, None]
@@ -489,10 +494,7 @@ def _values_and_gradients(family, stack):
     # back through each design's canonical row order and signs
     grads = np.empty(stack.shape)
     grads[np.arange(size)[:, None], order] = grad.transpose(1, 2, 0) * signs[:, None, :]
-    return [
-        entry if isinstance(entry, SingularDesignError) else (entry[0], out, entry[1])
-        for entry, out in zip(priced, grads)
-    ]
+    return values, grads, units, errors
 
 
 def imspe_value(family, design):

@@ -16,8 +16,10 @@ class InvalidDesignError(ImspeError, ValueError):
 class SingularDesignError(ImspeError):
     """Raised when the design correlation matrix is not numerically positive definite.
 
-    That is: R has no Cholesky factor, its factor is not finite, or
-    1'R^{-1}1 is not positive. The message says which.
+    That is: R has no Cholesky factor, its factor is not finite,
+    1'R^{-1}1 is not positive, or the design repeats a point (where rounding
+    can leave R a factor, but its value means nothing). The message says
+    which.
     """
 
 

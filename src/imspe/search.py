@@ -16,8 +16,10 @@ longest start makes evaluations. ``local_search`` is the same driver with
 one start, and a start's outcome has the same bits either way. A start
 converges when the projected gradient (gradient with outward components
 zeroed on active bounds) has infinity norm at or below the optimality
-tolerance. Converged optima are deduplicated by clustering canonically
-sorted designs.
+tolerance. Converged optima are deduplicated by clustering their
+row-sorted coordinates (``criterion._sort_rows``) within ``_CLUSTER_TOL``;
+no sign is canonicalised, so a design and its mirror image count as two
+optima.
 
 Everything is deterministic for a given seed: starting designs come from a
 seeded generator and the descent itself contains no randomness, so repeated
@@ -57,6 +59,11 @@ _FD_STEP = 1e-6
 _CLUSTER_TOL = 1e-5
 
 
+def _is_count(value):
+    """Whether value is an integer of at least 1; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the local descent and the multistart wrapper."""
@@ -68,8 +75,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("starts", "max_iterations"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not _is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer of at least 1")
         if not 0.0 < self.optimality_tol < math.inf:
             raise ValueError("optimality_tol must be finite and positive")
@@ -216,21 +222,6 @@ def _dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _read(priced, m):
-    """Values (+inf where singular), flat gradients, rounding units and the singular mask of a round's entries."""
-    f = np.full(len(priced), math.inf)
-    g = np.zeros((len(priced), m))
-    unit = np.zeros(len(priced))
-    singular = np.zeros(len(priced), dtype=bool)
-    for k, entry in enumerate(priced):
-        if isinstance(entry, SingularDesignError):
-            singular[k] = True
-        else:
-            f[k], grad, unit[k] = entry
-            g[k] = grad.ravel()
-    return f, g, unit, singular
-
-
 def _descend(family, starts, config):
     """The descents from every (n, d) start of an (S, n, d) stack, in lockstep.
 
@@ -240,8 +231,11 @@ def _descend(family, starts, config):
     is a row of an (S, ...) array, and masks make each decision for all
     starts at once. Each round prices the pending trial of every live start
     in one ``_values_and_gradients`` call on their stack, so a multistart
-    makes as many calls as its longest start makes evaluations. Between two
-    rounds a start moves on until it has a trial to price or stops:
+    makes as many calls as its longest start makes evaluations. Its value,
+    gradient and unit arrays are read as they are (a singular trial prices
+    as +inf, which no test accepts), and the first call's errors name the
+    singular starts. Between two rounds a start moves on until it has a
+    trial to price or stops:
 
     - at the top of an iteration it stops on a non-finite gradient, on the
       optimality tolerance or on the iteration cap; otherwise it counts an
@@ -258,8 +252,8 @@ def _descend(family, starts, config):
     size, n, d = starts.shape
     m = n * d
     x = starts.reshape(size, m).copy()
-    results = _values_and_gradients(family, starts)
-    f, g, unit, singular = _read(results, m)
+    f, g, unit, errors = _values_and_gradients(family, starts)
+    g = g.reshape(size, m)
     stops = [None] * size
     H = np.zeros((size, m, m))
     has_model = np.zeros(size, dtype=bool)
@@ -278,7 +272,7 @@ def _descend(family, starts, config):
             stops[i] = reason
 
     nothing = np.zeros(0, dtype=int)
-    begin, propose, stall = np.flatnonzero(~singular), nothing, nothing
+    begin, propose, stall = np.flatnonzero([error is None for error in errors]), nothing, nothing
     while True:
         pending = []
         while begin.size or propose.size or stall.size:
@@ -331,8 +325,8 @@ def _descend(family, starts, config):
         if not pending.size:
             break
         pending.sort()  # each round's stack in start order
-        priced = _values_and_gradients(family, trial[pending].reshape(-1, n, d))
-        f_new, g_new, unit_new, _ = _read(priced, m)
+        f_new, g_new, unit_new, _ = _values_and_gradients(family, trial[pending].reshape(-1, n, d))
+        g_new = g_new.reshape(-1, m)
         f_old = f[pending]
         armijo = f_new <= f_old + _ARMIJO * slope[pending]
         near = ~armijo & (np.abs(f_new - f_old) <= rounding[pending])
@@ -355,11 +349,11 @@ def _descend(family, starts, config):
         finite = np.isfinite(g_new).all(axis=1)
         _update_models(H, has_model, begin[finite], step[begin[finite]], (g_new - g[begin])[finite])
         x[begin], f[begin], g[begin], unit[begin] = trial[begin], f_new[accepted], g_new, unit_new[accepted]
-    for i in range(size):
-        if not singular[i]:
-            results[i] = LocalSearchResult(
-                Design(x[i].reshape(n, d)), float(f[i]), int(iterations[i]), float(grad_norm[i]), stops[i])
-    return results
+    return [
+        error if error is not None else LocalSearchResult(
+            Design(x[i].reshape(n, d)), float(f[i]), int(iterations[i]), float(grad_norm[i]), stops[i])
+        for i, error in enumerate(errors)
+    ]
 
 
 def _update_models(H, has_model, rows, s, y):
@@ -404,7 +398,7 @@ def multistart_search(family, n, d=1, config=DEFAULT_CONFIG):
     converge, ``best_design`` and ``best_imspe`` are None and callers decide
     how loudly to fail. Bad n, d or theta count raise before any start.
     """
-    if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (n, d)):
+    if not (_is_count(n) and _is_count(d)):
         raise ValueError("need n >= 1 points and d >= 1 dimensions")
     family.theta_for_dimension(d)
     starts = np.stack(_generate_starts(n, d, config.starts, np.random.default_rng(config.seed)))

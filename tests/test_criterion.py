@@ -659,9 +659,10 @@ def test_repeated_points_raise_even_where_the_factor_succeeds():
             call(fam, points)
     # in a batch, the design prices as its own error
     distinct = np.linspace(-0.9, 0.9, 7)[:, None]
-    batch = criterion._values_and_gradients(fam, np.stack([pts, distinct, pts[::-1]]))
-    assert [str(entry) for entry in batch[::2]] == ["design has repeated points"] * 2
-    assert batch[1][0] == imspe_value(fam, distinct)
+    values, _, _, errors = criterion._values_and_gradients(fam, np.stack([pts, distinct, pts[::-1]]))
+    assert [str(error) for error in errors[::2]] == ["design has repeated points"] * 2
+    assert errors[1] is None
+    assert values[1] == imspe_value(fam, distinct)
 
 
 @pytest.mark.parametrize("kind, theta", [("matern52", 1e200), ("matern32", 1e308)])
@@ -709,15 +710,18 @@ def test_a_batch_has_the_bits_of_one_design_at_a_time():
             stack = np.where(rng.random((5, n, d)) < 0.5, grid, rng.uniform(-1.0, 1.0, size=(5, n, d)))
             stack[2] = stack[2, 0]  # every point coincides: R is all ones
             for fam in (CovarianceFamily(kind, anisotropic), CovarianceFamily(kind, anisotropic[0])):
-                batch = criterion._values_and_gradients(fam, stack)
-                assert len(batch) == len(stack)
-                for points, priced in zip(stack, batch):
+                values, grads, units, errors = criterion._values_and_gradients(fam, stack)
+                assert (values.shape, grads.shape, units.shape, len(errors)) == ((5,), stack.shape, (5,), 5)
+                for points, *priced, error in zip(stack, values, grads, units, errors):
                     try:
                         value, grad, unit = _value_and_gradient(fam, points)
                     except SingularDesignError as exc:
-                        assert isinstance(priced, SingularDesignError)
-                        assert str(priced) == str(exc)
+                        assert isinstance(error, SingularDesignError)
+                        assert str(error) == str(exc)
                         continue
+                    assert error is None
                     assert (priced[0].hex(), priced[1].tobytes(), priced[2].hex()) == (
                         value.hex(), grad.tobytes(), unit.hex())
-                assert isinstance(batch[2], SingularDesignError)
+                assert isinstance(errors[2], SingularDesignError)
+                # a singular design's row holds placeholders: +inf, a zero gradient, a 0.0 unit
+                assert values[2] == math.inf and units[2] == 0.0 and (grads[2] == 0.0).all()

@@ -123,10 +123,8 @@ def test_local_search_reaches_every_stop_reason(monkeypatch):
 
     def raised_after_start(family, stack):
         calls.append(None)
-        return [
-            ((value if len(calls) == 1 else value + 1e-3), grad, unit)
-            for value, grad, unit in exact(family, stack)
-        ]
+        values, grads, units, errors = exact(family, stack)
+        return (values if len(calls) == 1 else values + 1e-3), grads, units, errors
 
     # every trial step rises well above the rounding of f: halving runs until
     # the predicted change g's falls below that rounding, then even the
@@ -139,10 +137,8 @@ def test_local_search_reaches_every_stop_reason(monkeypatch):
     def poisoned_after(count):
         def values_and_gradients(family, stack):
             calls.append(None)
-            return [
-                (value, grad if len(calls) <= count else np.full_like(grad, np.nan), unit)
-                for value, grad, unit in exact(family, stack)
-            ]
+            values, grads, units, errors = exact(family, stack)
+            return values, grads if len(calls) <= count else np.full_like(grads, np.nan), units, errors
         return values_and_gradients
 
     for count, iterations in ((0, 0), (1, 1)):
@@ -180,7 +176,8 @@ def test_local_search_prices_a_singular_trial_as_inf(monkeypatch):
     def singular_first_trial(family, stack):
         calls.append(None)
         if len(calls) == 2:
-            return [SingularDesignError("correlation matrix is not positive definite")]
+            error = SingularDesignError("correlation matrix is not positive definite")
+            return np.array([math.inf]), np.zeros(stack.shape), np.zeros(1), [error]
         return exact(family, stack)
 
     monkeypatch.setattr(search, "_values_and_gradients", singular_first_trial)
@@ -195,13 +192,12 @@ def test_line_search_prices_a_coincident_trial_as_inf(monkeypatch):
     raised = []
 
     def spy(family, stack):
-        priced = exact(family, stack)
-        raised.extend(str(p) for p in priced if isinstance(p, SingularDesignError))
+        values, grads, units, errors = exact(family, stack)
+        raised.extend(str(error) for error in errors if error is not None)
         if len(stack) == 1 and np.array_equal(stack[0, :, 0], [-0.9, 0.1]):
             # at the start, steepest descent points along +x_0
-            value, _, unit = priced[0]
-            return [(value, np.array([[-1.0], [0.0]]), unit)]
-        return priced
+            grads = np.array([[[-1.0], [0.0]]])
+        return values, grads, units, errors
 
     monkeypatch.setattr(search, "_values_and_gradients", spy)
     fam = CovarianceFamily("gaussian", [1.0])
@@ -330,11 +326,11 @@ def test_best_design_points_distinct():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(starts=0)
-    for count in (0, 2.5, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            SearchConfig(max_iterations=count)
+    # a bool is an Integral, but True would silently mean one start
+    for count in (0, 2.5, math.nan, math.inf, True):
+        for name in ("starts", "max_iterations"):
+            with pytest.raises(ValueError, match=name):
+                SearchConfig(**{name: count})
     for tol in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             SearchConfig(optimality_tol=tol)
@@ -350,7 +346,7 @@ def test_multistart_rejects_non_integer_sizes_before_drawing_starts(monkeypatch)
     drawn = []
     monkeypatch.setattr(search, "_generate_starts", lambda *args: drawn.append(args) or [])
     fam = CovarianceFamily("gaussian", [1.0])
-    for n, d in ((2.5, 1), (3, 1.0)):
+    for n, d in ((2.5, 1), (3, 1.0), (True, 1)):
         with pytest.raises(ValueError, match="need n >= 1 points and d >= 1 dimensions"):
             multistart_search(fam, n, d)
     assert drawn == []
@@ -389,11 +385,10 @@ def test_multistart_outcomes_are_the_one_start_runs(kind, theta, n, d, config, m
 def _reference_descent(family, points, config):
     """One start's descent as a plain loop, pricing one point per call: the lockstep driver's reference."""
     def price(x):
-        priced = search._values_and_gradients(family, x.reshape((1,) + points.shape))[0]
-        if isinstance(priced, SingularDesignError):
+        values, grads, units, errors = search._values_and_gradients(family, x.reshape((1,) + points.shape))
+        if errors[0] is not None:
             return math.inf, None, None
-        value, grad, unit = priced
-        return value, grad.ravel(), unit
+        return float(values[0]), grads[0].ravel(), float(units[0])
 
     x = points.ravel()
     f, g, unit = price(x)
@@ -486,15 +481,14 @@ def test_multistart_outcomes_are_the_one_start_runs_at_every_stop_reason(monkeyp
     def seam(family, stack):
         # a first point past 0.8 poisons the gradient; below -0.7 the
         # gradient points uphill, so every trial from there is refused
-        priced = exact(family, stack)
-        for k, (points, entry) in enumerate(zip(stack, priced)):
-            if not isinstance(entry, SingularDesignError):
-                value, grad, unit = entry
+        values, grads, units, errors = exact(family, stack)
+        for k, (points, error) in enumerate(zip(stack, errors)):
+            if error is None:
                 if points[0, 0] > 0.8:
-                    priced[k] = value, np.full_like(grad, np.nan), unit
+                    grads[k] = np.nan
                 elif points[0, 0] < -0.7:
-                    priced[k] = value, -grad, unit
-        return priced
+                    grads[k] = -grads[k]
+        return values, grads, units, errors
 
     monkeypatch.setattr(search, "_values_and_gradients", seam)
     res = _assert_lockstep_is_alone(CovarianceFamily("matern52", [2.0]), 3, 1, config, starts, monkeypatch)

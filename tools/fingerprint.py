@@ -170,11 +170,10 @@ def _stacked_rounds(digest, rng):
 
 
 def _priced_stack(digest, family, stack):
-    for priced in _values_and_gradients(family, stack):
-        if isinstance(priced, ImspeError):
-            _update_error(digest, priced)
+    for value, grad, unit, error in zip(*_values_and_gradients(family, stack)):
+        if error is not None:
+            _update_error(digest, error)
             continue
-        value, grad, unit = priced
         digest.update(f"{value.hex()} {unit.hex()}".encode())
         digest.update(grad.tobytes())
 
