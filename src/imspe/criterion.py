@@ -33,8 +33,9 @@ takes an (S, n, d) stack, one design per live start. ``_operands`` keeps
 the coordinate axis first and puts the start axis second, so each closed
 form, each slope, the products over axes and the adjoint's contractions
 run once for the whole batch, on (d, S, T) triangle stacks and, for the
-slopes and the adjoint, (d, S, n, n) stacks. One value step
-(``_priced``) serves the batch and ``imspe()``, its batch of one: each
+slopes and the adjoint, (d, S, n, n) stacks. One canonicaliser
+(``_canonical_forms``, its rule chosen by the batch's shape) and one value
+step (``_priced``) serve the batch and ``imspe()``, its batch of one: each
 design keeps its own ``dpotrf`` factor, ``dpotrs`` solves and exact sum,
 which keeps LAPACK's bits and lets a singular design price as its own
 error, and the checks, dot products, traces and the scatter of the
@@ -145,29 +146,40 @@ def _canonical_form(points):
             branches.append((s, rest, np.where(free, neg[rest], points[rest] * s).tolist()))
 
 
-def _canonical_forms_1d(stack):
-    """``_canonical_form`` of every design of an (S, n, 1) stack at once: points, row orders and signs.
+def _repeats(rows):
+    """Whether each design of an (S, n, d) stack of sorted rows repeats a point (0.0 == -0.0): (S,) flags."""
+    return np.logical_or.reduce(np.logical_and.reduce(rows[:, 1:] == rows[:, :-1], axis=2), axis=1)
 
-    A d = 1 design has two candidates, its sorted points and its sorted
-    negated points; the negation is the smaller one only when it is
-    lexicographically smaller (0.0 == -0.0), so ties keep the least flip
-    mask. Stable sorts give the order ``_sort_rows`` gives, and ``x * -1.0``
-    is the negation ``points * s`` makes, -0.0 included.
+
+def _canonical_forms(stack):
+    """Canonical points, row orders and signs of each design in an (S, n, d) stack, and which repeat a point.
+
+    Design s gets ``_canonical_form(stack[s])``; the rule goes by the batch's
+    shape, for speed alone. A d = 1 stack of two or more designs takes stable
+    sorts of x and of ``x * -1.0``, the negation ``points * s`` makes, which
+    wins only where lexicographically smaller (0.0 == -0.0), so ties keep the
+    least flip mask. Other stacks go design by design, one design unstacked.
     """
-    x = stack[..., 0]
-    flipped = x * -1.0
-    up = np.argsort(x, axis=1, kind="stable")
-    down = np.argsort(flipped, axis=1, kind="stable")
-    ascending = np.take_along_axis(x, up, axis=1)
-    descending = np.take_along_axis(flipped, down, axis=1)
-    differ = ascending != descending
-    first = differ.argmax(axis=1)[:, None]
-    flip = differ.any(axis=1) & (
-        np.take_along_axis(descending, first, axis=1) < np.take_along_axis(ascending, first, axis=1)
-    )[:, 0]
-    points = np.where(flip[:, None], descending, ascending)[..., None]
-    order = np.where(flip[:, None], down, up)
-    return points, order, np.where(flip, -1.0, 1.0)[:, None]
+    size, _, d = stack.shape
+    if d == 1 and size > 1:
+        x = stack[..., 0]
+        flipped = x * -1.0
+        up = np.argsort(x, axis=1, kind="stable")
+        down = np.argsort(flipped, axis=1, kind="stable")
+        ascending = np.take_along_axis(x, up, axis=1)
+        descending = np.take_along_axis(flipped, down, axis=1)
+        # the first row where the two differ decides; where none does, the difference is a zero
+        first = (ascending != descending).argmax(axis=1)[:, None]
+        flip = (np.take_along_axis(descending - ascending, first, axis=1) < 0.0)[:, 0]
+        points = np.where(flip[:, None], descending, ascending)[..., None]
+        order = np.where(flip[:, None], down, up)
+        signs = np.where(flip, -1.0, 1.0)[:, None]
+    elif size == 1:
+        points, order, signs = _canonical_form(stack[0])
+        points, order, signs = points[None], order[None], np.array([signs])
+    else:
+        points, order, signs = map(np.stack, zip(*map(_canonical_form, stack)))
+    return points, order, signs, _repeats(points)
 
 
 def build_correlation_matrix(family, design):
@@ -254,8 +266,10 @@ def build_single_vector(family, design):
 def _factor(R):
     """Lower Cholesky factor c of a finite R by LAPACK ``dpotrf``, or SingularDesignError.
 
-    Raises when a leading minor is not positive definite. The upper triangle
-    of c holds R's own entries.
+    Raises when a leading minor is not positive definite or the last pivot is
+    not positive and finite: ``dpotrf`` takes only positive or NaN pivots and
+    a non-finite entry makes every later pivot NaN or stops it, so that pivot
+    vouches for the whole factor. The upper triangle of c is R's own.
     """
     c, info = dpotrf(R, lower=1, clean=0)
     if info > 0:
@@ -265,31 +279,24 @@ def _factor(R):
         )
     if info < 0:
         raise ValueError(f"dpotrf reported an illegal value in argument {-info}")
+    if not 0.0 < c[-1, -1] < math.inf:
+        raise SingularDesignError("correlation matrix factorization produced non-finite entries")
     return c
 
 
-def _screen(errors, pivots, denom, rows):
+def _screen(errors, denom, repeated):
     """Mark each design of a stack that cannot be priced, unless it already has an error.
 
-    From the last pivot of its factor, its 1'R^{-1}1 ``denom`` and its
-    sorted (n, d) ``rows``, in this order: a factor with a non-finite entry
-    or a nonpositive pivot, a 1'R^{-1}1 that is not positive and finite, or
-    a repeated point (0.0 == -0.0). ``dpotrf`` takes only a positive or NaN
-    pivot, and a non-finite entry makes every later pivot NaN or stops the
-    factorization, so a positive, finite last pivot vouches for the whole
-    factor. Rounding can leave R a positive factor at a repeated point, but
-    its value means nothing.
+    From its 1'R^{-1}1 ``denom`` and its repeated-point flag, in this order:
+    a 1'R^{-1}1 that is not positive and finite, or a repeated point
+    (0.0 == -0.0). Rounding can leave R a positive factor at a repeated
+    point, but its value means nothing.
     """
-    repeated = np.logical_or.reduce(np.logical_and.reduce(rows[:, 1:] == rows[:, :-1], axis=2), axis=1)
-    for s, (pivot, positive, twice) in enumerate(zip(pivots, denom.tolist(), repeated.tolist())):
+    for s, (positive, twice) in enumerate(zip(denom.tolist(), repeated.tolist())):
         if errors[s] is not None:
             continue
-        if not 0.0 < pivot < math.inf:
-            errors[s] = SingularDesignError("correlation matrix factorization produced non-finite entries")
-        elif not 0.0 < positive < math.inf:
-            errors[s] = SingularDesignError(
-                "correlation matrix is numerically singular (1'R^{-1}1 not positive)"
-            )
+        if not 0.0 < positive < math.inf:
+            errors[s] = SingularDesignError("correlation matrix is numerically singular (1'R^{-1}1 not positive)")
         elif twice:
             errors[s] = SingularDesignError("design has repeated points")
 
@@ -331,19 +338,19 @@ def imspe(family, design):
         If R has no usable Cholesky factorization (near-coincident points),
         or if the design repeats a point.
     """
-    points = _canonical_form(as_design(design).points)[0]
-    R, W, v = _assemble(family, points)[2:]
-    values, _, errors, _ = _priced(R[None], W[None], v[None], points[None])
+    canonical, _, _, repeated = _canonical_forms(as_design(design).points[None])
+    R, W, v = _assemble(family, canonical[0])[2:]
+    values, _, errors, _ = _priced(R[None], W[None], v[None], repeated)
     if errors[0] is not None:
         raise errors[0]
     return ImspeEvaluation(value=float(values[0]), R=R, W=W, v=v)
 
 
-def _priced(R, W, v, rows, adjoint=False):
+def _priced(R, W, v, repeated, adjoint=False):
     """Values, rounding units and errors of a stack of designs, and the solves behind them.
 
-    R and W are (S, n, n) stacks, v an (S, n) stack and ``rows`` the
-    designs' sorted (S, n, d) points. Returns the (S,) values, the (S,)
+    R and W are (S, n, n) stacks, v an (S, n) stack and ``repeated`` the
+    (S,) flags of ``_canonical_forms``. Returns the (S,) values, the (S,)
     rounding units, a list of S entries holding None or the design's
     SingularDesignError, and the solves; a singular design's value is +inf
     and its unit 0.0. Each design gets one ``dpotrf`` factor, which keeps
@@ -358,29 +365,28 @@ def _priced(R, W, v, rows, adjoint=False):
     arithmetic by memory order.
     """
     size, n = v.shape
-    # design s's solution of column k is solved[s, k]
+    # design s's solution of column k is solved[s, k], zeros where s has no factor
     columns = np.empty((size, 2 * n + 1 if adjoint else n + 1, n))
     columns[:, 0] = 1.0
     columns[:, 1:n + 1] = W.transpose(0, 2, 1)
     if adjoint:
         columns[:, n + 1:] = np.eye(n)
         RiWRi = np.empty((size, n, n))
-    solved = np.empty_like(columns)
-    errors, pivots = [None] * size, [1.0] * size
+    solved = np.zeros_like(columns)
+    errors = [None] * size
     for s in range(size):
         try:
             c = _factor(R[s])
         except SingularDesignError as exc:
             errors[s] = exc
             continue
-        pivots[s] = c[-1, -1]
         x = _solve(c, columns[s].T)
         solved[s] = x.T
         if adjoint:
             RiWRi[s] = _solve(c, x[:, 1:n + 1].T)
     u = solved[:, 0]
     denom = (u[:, None, :] @ columns[:, :1].transpose(0, 2, 1))[:, 0, 0]
-    _screen(errors, pivots, denom, rows)
+    _screen(errors, denom, repeated)
     singular = [s for s, error in enumerate(errors) if error is not None]
     if singular:
         solved[singular] = 0.0
@@ -461,19 +467,13 @@ def _values_and_gradients(family, stack):
 
     Everything runs once on the whole stack but what ``_priced`` keeps per
     design: the factor, its solves and the exact sums. So every design
-    keeps the bits it has on its own. A d = 1 stack takes its canonical
-    forms from one sort (``_canonical_forms_1d``).
+    keeps the bits it has on its own. The canonical forms and repeated-point
+    flags come from ``_canonical_forms``, as for ``imspe()``.
     """
-    size, n, d = stack.shape
-    if d == 1:
-        canonical, order, signs = _canonical_forms_1d(stack)
-    else:
-        forms = [_canonical_form(points) for points in stack]
-        canonical = np.stack([form[0] for form in forms])
-        order = np.stack([form[1] for form in forms])
-        signs = np.array([form[2] for form in forms])
+    size, n, _ = stack.shape
+    canonical, order, signs, repeated = _canonical_forms(stack)
     (kind, theta, col, row), factors, R, W, v = _assemble(family, canonical)
-    values, units, errors, (u, denom, uW, lin, quad, Rinv, RiWRi) = _priced(R, W, v, canonical, adjoint=True)
+    values, units, errors, (u, denom, uW, lin, quad, Rinv, RiWRi) = _priced(R, W, v, repeated, adjoint=True)
     z = (Rinv @ (uW - v)[:, :, None])[:, :, 0]
     numerator = 1.0 - 2.0 * lin + quad
     denom = denom[:, None, None]
@@ -517,7 +517,8 @@ def mspe_evaluator(family, design):
     u = _solve(c, ones)
     denom = float(u @ ones)
     errors = [None]
-    _screen(errors, [c[-1, -1]], np.array([denom]), _sort_rows(dsn.points)[0][None])
+    # not canonicalised: the profile is not reflection-invariant
+    _screen(errors, np.array([denom]), _repeats(_sort_rows(dsn.points)[0][None]))
     if errors[0] is not None:
         raise errors[0]
 

@@ -64,14 +64,16 @@ def symmetrize_plus(f, a, b):
 
 
 def _validate_args(kind, theta, *coords):
-    """Check kind, theta and anchors; return the checked (theta, *coords) arrays."""
+    """Check kind, one theta and anchors; return the checked (theta, *coords) arrays."""
     validate_kind(kind)
-    theta = validate_theta(theta)
+    checked = validate_theta(theta)
+    if checked.size != 1:
+        raise InvalidHyperparameterError(f"a kernel average takes one theta, got {theta!r}")
     anchors = [np.asarray(c, dtype=float) for c in coords]
     # NaN fails the comparison too
     if not all((np.abs(arr) <= 1.0).all() for arr in anchors):
         raise ValueError("integral anchor points must be finite and lie in [-1, 1]")
-    return (theta, *anchors)
+    return (checked, *anchors)
 
 
 def _check_finite(kind, theta, **arrays):

@@ -59,9 +59,9 @@ _FD_STEP = 1e-6
 _CLUSTER_TOL = 1e-5
 
 
-def _is_count(value):
-    """Whether value is an integer of at least 1; a bool is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+def _is_count(value, floor=1):
+    """Whether value is an integer of at least ``floor``; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= floor
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,9 @@ class SearchConfig:
         for name in ("starts", "max_iterations"):
             if not _is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer of at least 1")
-        if not 0.0 < self.optimality_tol < math.inf:
+        if isinstance(self.optimality_tol, bool) or not 0.0 < self.optimality_tol < math.inf:
             raise ValueError("optimality_tol must be finite and positive")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _is_count(self.seed, 0):
             raise ValueError("seed must be a nonnegative integer")
 
 
@@ -262,7 +262,6 @@ def _descend(family, starts, config):
     direction = np.zeros((size, m))
     scale = np.ones(size)
     trials = np.zeros(size, dtype=int)
-    rounding = np.zeros(size)
     trial = np.zeros((size, m))
     step = np.zeros((size, m))
     slope = np.zeros(size)
@@ -306,7 +305,6 @@ def _descend(family, starts, config):
                 steepest = ~has_model[begin]
                 direction[begin[steepest]] = -pg[steepest]
                 scale[begin], trials[begin] = 1.0, 0
-                rounding[begin] = _ROUNDING_UNITS * unit[begin]
                 propose, begin = np.concatenate((propose, begin)), nothing
             if propose.size:  # the next trial of each line search
                 exhausted = trials[propose] == _LINESEARCH_CAP
@@ -328,8 +326,9 @@ def _descend(family, starts, config):
         f_new, g_new, unit_new, _ = _values_and_gradients(family, trial[pending].reshape(-1, n, d))
         g_new = g_new.reshape(-1, m)
         f_old = f[pending]
+        rounding = _ROUNDING_UNITS * unit[pending]
         armijo = f_new <= f_old + _ARMIJO * slope[pending]
-        near = ~armijo & (np.abs(f_new - f_old) <= rounding[pending])
+        near = ~armijo & (np.abs(f_new - f_old) <= rounding)
         wolfe = np.zeros_like(near)
         if near.any():
             slope_new = _dot(g_new[near], step[pending[near]])
@@ -338,7 +337,7 @@ def _descend(family, starts, config):
                 slope_new <= (2.0 * _WOLFE_DELTA - 1.0) * slope_old)
         accepted = armijo | wolfe
         # a shorter step would change f by less than it can resolve
-        flat = ~accepted & (np.abs(slope[pending]) <= rounding[pending])
+        flat = ~accepted & (np.abs(slope[pending]) <= rounding)
         halve = pending[~accepted & ~flat]
         scale[halve] *= 0.5
         trials[halve] += 1

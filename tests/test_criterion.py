@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -206,12 +207,15 @@ def test_canonical_points_match_the_sign_flip_enumeration():
         assert (points * signs)[order].tobytes() == fast.tobytes()
 
 
-def test_one_sort_gives_the_canonical_form_of_every_d1_design():
+def test_one_sort_gives_the_canonical_form_of_every_d1_design(monkeypatch):
     # ties, 0.0 and -0.0, mirror-symmetric designs and uniform draws, mixed
-    # in one stack: points (sign bits included), row orders and signs agree
+    # in one stack: points (sign bits included), row orders and signs agree,
+    # and each flag says whether adjacent sorted rows repeat a point
+    calls = []
+    monkeypatch.setattr(criterion, "_canonical_form", lambda points: calls.append(points))
     rng = np.random.default_rng(14)
     for _ in range(300):
-        size, n = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        size, n = int(rng.integers(2, 12)), int(rng.integers(1, 9))
         stack = np.where(
             rng.random((size, n, 1)) < 0.6,
             rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(size, n, 1)),
@@ -220,12 +224,36 @@ def test_one_sort_gives_the_canonical_form_of_every_d1_design():
         for s in range(0, size, 2):
             half = stack[s, : n // 2, 0]
             stack[s, n - len(half):, 0] = -half[rng.permutation(len(half))]
-        points, order, signs = criterion._canonical_forms_1d(stack)
+        points, order, signs, repeated = criterion._canonical_forms(stack)
+        assert calls == []  # the one sort, never the per-design search
         for s, design in enumerate(stack):
             ref_points, ref_order, ref_signs = _canonical_form(design)
             assert points[s].tobytes() == ref_points.tobytes()
             assert np.array_equal(order[s], ref_order)
             assert signs[s].tobytes() == np.array(ref_signs).tobytes()
+            rows = _sort_rows(design)[0]
+            assert repeated[s] == any(np.array_equal(a, b) for a, b in zip(rows[1:], rows[:-1]))
+
+
+def test_the_batch_shape_picks_the_canonical_rule(monkeypatch):
+    # a batch of one takes the per-design search once, unstacked; a d = 1
+    # batch of two or more takes the one sort; larger d goes design by design
+    calls = []
+    canonical_form = criterion._canonical_form
+
+    def counting_canonical_form(points):
+        calls.append(points.shape)
+        return canonical_form(points)
+
+    monkeypatch.setattr(criterion, "_canonical_form", counting_canonical_form)
+    fam = CovarianceFamily("matern32", 2.0)
+    rng = np.random.default_rng(18)
+    for size, d, expected in ((1, 1, 1), (1, 3, 1), (2, 1, 0), (7, 1, 0), (3, 2, 3)):
+        stack = rng.uniform(-1.0, 1.0, size=(size, 5, d))
+        for call in (criterion._canonical_forms, lambda batch: criterion._values_and_gradients(fam, batch)):
+            calls.clear()
+            call(stack)
+            assert calls == [(5, d)] * expected
 
 
 def test_canonical_points_sort_once_when_the_extreme_row_is_unique(monkeypatch):
@@ -725,3 +753,32 @@ def test_a_batch_has_the_bits_of_one_design_at_a_time():
                 assert isinstance(errors[2], SingularDesignError)
                 # a singular design's row holds placeholders: +inf, a zero gradient, a 0.0 unit
                 assert values[2] == math.inf and units[2] == 0.0 and (grads[2] == 0.0).all()
+
+
+def test_singular_designs_in_a_batch_raise_no_numpy_warning():
+    # designs without a factor and designs that repeat a point, among
+    # ordinary ones: their placeholders come from zeroed solves, not from
+    # arithmetic on what a failed factor left behind
+    rng = np.random.default_rng(19)
+    # at exponential theta 4.39..., rounding leaves R a positive factor here
+    repeats = np.array([0.5826086677441835, 0.5826086677441835, 1.0, 0.3328461741628328,
+                        -0.5, 0.0, -0.39368554925243693])[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in FAMILY_KINDS:
+            for fam in (CovarianceFamily(kind, 4.39158914157464), CovarianceFamily(kind, 2.0)):
+                for d in (1, 2, 3):
+                    stack = rng.uniform(-1.0, 1.0, size=(5, 7, d))
+                    stack[1] = stack[1, 0]  # every point coincides
+                    stack[3, 6] = stack[3, 2]  # one point twice
+                    stack[4] = repeats
+                    values, grads, units, errors = criterion._values_and_gradients(fam, stack)
+                    assert [error is None for error in errors] == [True, False, True, False, False]
+                    assert np.isfinite(values[[0, 2]]).all() and np.isfinite(grads[[0, 2]]).all()
+                    for points, error in zip(stack, errors):
+                        if error is None:
+                            imspe(fam, points)
+                            continue
+                        for call in (imspe, mspe_evaluator):
+                            with pytest.raises(SingularDesignError):
+                                call(fam, points)

@@ -168,6 +168,11 @@ def test_invalid_theta_and_out_of_box_anchor(kind):
             pair(kind + "x", 1.0, 0.1, 0.2)
         with pytest.raises(InvalidHyperparameterError, match="unknown covariance kind"):
             single(kind + "x", 1.0, 0.1)
+        # one theta: several would broadcast against the anchors, or fail to
+        with pytest.raises(InvalidHyperparameterError, match="one theta"):
+            pair(kind, [1.0, 2.0], [0.1, 0.2], [0.3, 0.4])
+        with pytest.raises(InvalidHyperparameterError, match="one theta"):
+            single(kind, [1.0, 2.0], [0.1, 0.2, 0.3])
 
 
 class TestBesselCoefficients:

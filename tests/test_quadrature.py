@@ -105,8 +105,8 @@ def test_kernel_oracles_check_theta_once(monkeypatch):
 
 
 def test_kernel_oracles_take_single_values():
-    # the closed forms broadcast over anchor arrays; the oracle takes one
-    # theta and one value per anchor, and says which argument has several
+    # the oracle takes one theta, as the closed forms do, and one value per
+    # anchor where they broadcast over anchor arrays; it names the anchor
     with pytest.raises(InvalidHyperparameterError, match="one theta"):
         integrate_pair("matern52", [1.0, 2.0], 0.3, -0.2)
     with pytest.raises(InvalidHyperparameterError, match="one theta"):
@@ -181,6 +181,6 @@ def test_divergence_raises():
 
 
 def test_spec_validation():
-    for rtol in (0.0, -1e-13, math.inf, math.nan):
+    for rtol in (0.0, -1e-13, math.inf, math.nan, True):
         with pytest.raises(ValueError):
             QuadratureSpec(rtol=rtol)

@@ -326,16 +326,17 @@ def test_best_design_points_distinct():
 
 
 def test_config_validation():
-    # a bool is an Integral, but True would silently mean one start
+    # a bool is a number, but True would silently mean one start, seed 1
+    # or a tolerance of 1.0
     for count in (0, 2.5, math.nan, math.inf, True):
         for name in ("starts", "max_iterations"):
             with pytest.raises(ValueError, match=name):
                 SearchConfig(**{name: count})
-    for tol in (-1.0, 0.0, math.inf, math.nan):
+    for tol in (-1.0, 0.0, math.inf, math.nan, True):
         with pytest.raises(ValueError):
             SearchConfig(optimality_tol=tol)
     # None would draw fresh OS entropy and break determinism
-    for seed in (None, -1, 1.5):
+    for seed in (None, -1, 1.5, True):
         with pytest.raises(ValueError, match="seed"):
             SearchConfig(seed=seed)
     with pytest.raises(ValueError):
