@@ -18,6 +18,8 @@ multiplies the stack over them.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +90,15 @@ def validate_kind(kind):
     return kind
 
 
+def _is_positive_real(value):
+    """Whether value is a real number in (0, inf); a bool is not, and a numpy bool is no Real."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < math.inf
+
+
 def validate_theta(theta):
     arr = np.asarray(theta, dtype=float)
-    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    # one pass: NaN fails both comparisons
+    if arr.size == 0 or not ((arr > 0.0) & (arr < np.inf)).all():
         raise InvalidHyperparameterError(
             f"theta must be positive and finite, got {theta!r}"
         )

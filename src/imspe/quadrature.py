@@ -5,8 +5,11 @@ exponential and Matern kernels have derivative kinks at zero distance), so
 the domain is split into panels at those abscissae. Each panel gets one
 fixed Gauss-Legendre rule and is split at its midpoint until two successive
 refinements agree to a relative tolerance, which certifies the closed forms
-to near machine precision without Monte Carlo noise. All summation goes
-through math.fsum, so results do not depend on panel order. Arguments are
+to near machine precision without Monte Carlo noise. Refinement interleaves
+the midpoints into the sorted breaks. The first two levels come from one
+integrand call, and each later level from one call of its own. Each level's
+sum is one exact math.fsum over its products, so results do not depend on
+panel order or on which levels share a call. Arguments are
 checked once, on entry: the kernel oracles take one theta and single-valued
 anchors, and their integrands evaluate the kernel unchecked.
 """
@@ -14,6 +17,7 @@ anchors, and their integrands evaluate the kernel unchecked.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from .criterion import mspe_evaluator
 from .errors import OracleDivergenceError
 from .integrals import _validate_args
 # rho is unused here but stays bound: bench/spans.py looks it up on this module to trace it
-from .kernels import _RHO, as_design, rho  # noqa: F401
+from .kernels import _RHO, _is_positive_real, as_design, rho  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,7 @@ class QuadratureSpec:
     rtol: float = 1e-13
 
     def __post_init__(self):
-        if isinstance(self.rtol, bool) or not 0.0 < self.rtol < math.inf:
+        if not _is_positive_real(self.rtol):
             raise ValueError("rtol must be finite and positive")
 
 
@@ -49,28 +53,54 @@ def _gauss_legendre():
 
 
 def _panel_breaks(splits):
-    interior = [float(p) for p in splits if -1.0 < float(p) < 1.0]
-    return np.unique(np.array([-1.0, 1.0] + interior))
+    # NaN fails both comparisons; 0.0 and -0.0 are one break, and either
+    # sign gives the same nodes and weights
+    interior = sorted({x for x in map(float, splits) if -1.0 < x < 1.0})
+    return np.array([-1.0, *interior, 1.0])
 
 
-def _fixed_rule(func, breaks):
+def _refined(breaks):
+    """The sorted breaks with every panel's midpoint between its ends.
+
+    A midpoint lies in its panel's closed range, so the interleaved array
+    is sorted; one that rounds onto an end (ends one ulp apart) is dropped.
+    """
+    out = np.empty(2 * breaks.size - 1)
+    out[::2] = breaks
+    out[1::2] = 0.5 * (breaks[:-1] + breaks[1:])
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
+
+
+def _averages(func, levels):
+    """(1/2) * the fixed rule's sum over the panels of each break array, one func call for all."""
     nodes, weights = _gauss_legendre()
-    lo = breaks[:-1]
-    hi = breaks[1:]
+    lo = np.concatenate([breaks[:-1] for breaks in levels])
+    hi = np.concatenate([breaks[1:] for breaks in levels])
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * weights[None, :]).ravel()
-    return math.fsum(w * np.asarray(func(x), dtype=float))
+    products = iter((w * np.asarray(func(x), dtype=float)).tolist())
+    # fsum is exact, so each level's sum does not depend on the panels' order
+    return [
+        0.5 * math.fsum(itertools.islice(products, nodes.size * (breaks.size - 1)))
+        for breaks in levels
+    ]
 
 
 def average_over_domain(func, splits=(), spec=DEFAULT_SPEC):
     """(1/2) * int_{-1}^{1} func(x) dx by Gauss-Legendre on ever finer panels.
 
+    The first call to ``func`` takes the nodes of the first two levels in
+    one array, and each later level takes a call of its own, so each value
+    ``func`` returns may depend only on its own abscissa, never on the
+    others or on how many there are.
+
     Parameters
     ----------
     func : callable
-        Vectorized integrand mapping an ndarray of abscissae to values.
+        Vectorized integrand mapping an ndarray of abscissae to values,
+        elementwise.
     splits : iterable of float
         Abscissae where the integrand loses smoothness; points outside the
         open interval are ignored.
@@ -82,13 +112,14 @@ def average_over_domain(func, splits=(), spec=DEFAULT_SPEC):
         If successive refinements never agree to ``spec.rtol``.
     """
     breaks = _panel_breaks(splits)
-    previous = 0.5 * _fixed_rule(func, breaks)
-    for _ in range(6):  # six midpoint splits make 64 sub-panels of every panel
-        breaks = np.unique(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))))
-        value = 0.5 * _fixed_rule(func, breaks)
+    finer = _refined(breaks)
+    previous, value = _averages(func, (breaks, finer))
+    for split in range(6):  # six midpoint splits make 64 sub-panels of every panel
+        if split:
+            finer = _refined(finer)
+            previous, (value,) = value, _averages(func, (finer,))
         if abs(value - previous) <= spec.rtol * max(abs(value), 1e-300):
             return value
-        previous = value
     raise OracleDivergenceError(
         f"quadrature did not stabilize to rtol={spec.rtol:g} "
         "after splitting every panel into 64 sub-panels"

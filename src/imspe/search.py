@@ -39,7 +39,7 @@ import numpy as np
 # of this module, where bench/spans.py installs its tracing wrappers
 from .criterion import _sort_rows, _values_and_gradients, imspe
 from .errors import SingularDesignError
-from .kernels import Design, as_design
+from .kernels import Design, _is_positive_real, as_design
 
 _ARMIJO = 1e-4
 # approximate Wolfe conditions (Hager & Zhang, SIAM J. Optim. 16(1), 2005):
@@ -77,7 +77,7 @@ class SearchConfig:
         for name in ("starts", "max_iterations"):
             if not _is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer of at least 1")
-        if isinstance(self.optimality_tol, bool) or not 0.0 < self.optimality_tol < math.inf:
+        if not _is_positive_real(self.optimality_tol):
             raise ValueError("optimality_tol must be finite and positive")
         if not _is_count(self.seed, 0):
             raise ValueError("seed must be a nonnegative integer")

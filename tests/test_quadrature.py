@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from imspe import integrals, kernels
+from imspe import integrals, kernels, quadrature
 
 from imspe import (
     CovarianceFamily,
@@ -17,6 +17,7 @@ from imspe import (
     integrate_mspe,
     integrate_pair,
     integrate_single,
+    mspe_evaluator,
     pair_integral,
     rho,
     single_integral,
@@ -175,12 +176,110 @@ def test_single_oracle_converges_for_a_steep_exponential():
 
 def test_divergence_raises():
     # the jump sits inside a panel at every level: 0.3 is no midpoint of
-    # any split of [-1, 1]
-    with pytest.raises(OracleDivergenceError):
-        average_over_domain(lambda x: np.sign(x - 0.3))
+    # any split of [-1, 1]; levels 0 and 1 share the first of six calls
+    counting, calls = _counted(lambda x: np.sign(x - 0.3))
+    with pytest.raises(OracleDivergenceError, match="64 sub-panels"):
+        average_over_domain(counting)
+    assert calls == [64 * (1 + 2), *(64 * 2**level for level in range(2, 7))]
+
+
+def _average_by_level(func, splits=(), spec=QuadratureSpec()):
+    # reference: the oracle with one integrand call per level, its breaks
+    # from np.unique and one fsum over each level's numpy products
+    def fixed_rule(breaks):
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        half = 0.5 * (breaks[1:] - breaks[:-1])
+        mid = 0.5 * (breaks[1:] + breaks[:-1])
+        x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+        w = (half[:, None] * weights[None, :]).ravel()
+        return 0.5 * math.fsum(w * np.asarray(func(x), dtype=float))
+
+    breaks = np.unique(np.array([-1.0, 1.0] + [float(p) for p in splits if -1.0 < float(p) < 1.0]))
+    previous = fixed_rule(breaks)
+    for _ in range(6):
+        breaks = np.unique(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))))
+        value = fixed_rule(breaks)
+        if abs(value - previous) <= spec.rtol * max(abs(value), 1e-300):
+            return value
+        previous = value
+    raise OracleDivergenceError(
+        f"quadrature did not stabilize to rtol={spec.rtol:g} "
+        "after splitting every panel into 64 sub-panels"
+    )
+
+
+def _outcome(average, func, splits):
+    try:
+        return average(func, splits).hex()
+    except OracleDivergenceError as exc:
+        return str(exc)
+
+
+def _split_sets(rng):
+    # duplicates, 0.0 and -0.0, splits one ulp apart, out-of-box, infinite
+    # and NaN splits, in random order
+    for _ in range(40):
+        anchors = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 4)))
+        extras = [
+            anchors[0],
+            rng.choice([0.0, -0.0]),
+            np.nextafter(anchors[-1], rng.choice([-1.0, 1.0])),
+            rng.choice([1.0, -1.0, 1.5, -3.0, math.inf, math.nan]),
+        ]
+        picked = [extra for extra in extras if rng.random() < 0.5]
+        yield anchors, rng.permutation(np.concatenate((anchors, picked)))
+
+
+def test_refinement_keeps_the_bits_of_one_call_per_level():
+    rng = np.random.default_rng(19)
+    for anchors, splits in _split_sets(rng):
+        kind = str(rng.choice(kernels.FAMILY_KINDS))
+        theta = float(rng.uniform(0.1, 60.0))
+
+        def product(x):
+            return np.prod([kernels._RHO[kind](theta, np.abs(x - p)) for p in anchors], axis=0)
+
+        assert _outcome(average_over_domain, product, splits) == _outcome(_average_by_level, product, splits)
+    for n in range(1, 7):
+        points = rng.uniform(-1.0, 1.0, size=n)
+        points[0] = rng.choice([0.0, -0.0])
+        profile = mspe_evaluator(CovarianceFamily("matern32", [float(rng.uniform(0.5, 5.0))]), points)
+        assert _outcome(average_over_domain, profile, points) == _outcome(_average_by_level, profile, points)
+
+    def step(x):
+        return np.sign(x - 0.3)
+
+    assert _outcome(average_over_domain, step, ()) == _outcome(_average_by_level, step, ())
+
+
+def test_refined_breaks_match_np_unique():
+    # a midpoint of breaks one ulp apart rounds onto one of them
+    rng = np.random.default_rng(7)
+    for _, splits in _split_sets(rng):
+        breaks = fine = quadrature._panel_breaks(splits)
+        for _ in range(6):
+            breaks = np.unique(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))))
+            fine = quadrature._refined(fine)
+            assert np.array_equal(fine, breaks)
+
+
+def _counted(func):
+    calls = []
+
+    def counting(x):
+        calls.append(x.size)
+        return func(x)
+
+    return counting, calls
+
+
+def test_first_two_levels_take_one_integrand_call():
+    counting, calls = _counted(lambda x: rho("matern52", 5.0, x - 0.2) * rho("matern52", 5.0, x + 0.8))
+    assert average_over_domain(counting, (0.2, -0.8)) == integrate_pair("matern52", 5.0, 0.2, -0.8)
+    assert calls == [64 * (3 + 6)]  # levels 0 and 1: 3 and 6 panels of 64 nodes
 
 
 def test_spec_validation():
-    for rtol in (0.0, -1e-13, math.inf, math.nan, True):
-        with pytest.raises(ValueError):
+    for rtol in (0.0, -1e-13, math.inf, math.nan, True, np.True_, "1e-9"):
+        with pytest.raises(ValueError, match="rtol"):
             QuadratureSpec(rtol=rtol)

@@ -332,8 +332,8 @@ def test_config_validation():
         for name in ("starts", "max_iterations"):
             with pytest.raises(ValueError, match=name):
                 SearchConfig(**{name: count})
-    for tol in (-1.0, 0.0, math.inf, math.nan, True):
-        with pytest.raises(ValueError):
+    for tol in (-1.0, 0.0, math.inf, math.nan, True, np.True_, "1e-9"):
+        with pytest.raises(ValueError, match="optimality_tol"):
             SearchConfig(optimality_tol=tol)
     # None would draw fresh OS entropy and break determinism
     for seed in (None, -1, 1.5, True):

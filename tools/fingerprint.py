@@ -48,6 +48,16 @@ Hashed, in order:
 - 48 quadrature-oracle values in hex, six ``integrate_pair`` and six
   ``integrate_single`` per family at theta in [0.1, 10], and
   ``integrate_mspe`` on ten d = 1 designs (or the error raised);
+- oracle edges, each value in hex or the error raised: ``integrate_pair``
+  at anchors one ulp apart, at 0.0 and -0.0, at the box edges, at a
+  steep exponential theta = 100 with anchors 0.02 apart and at the
+  near-coincident anchors where a doubled rule once diverged;
+  ``average_over_domain`` with -0.0/0.0, duplicate, out-of-box, infinite
+  and NaN splits, splits one ulp apart, a loose tolerance that stops at
+  the first comparison and two integrands that never settle;
+  ``integrate_single`` at -1, 1, -0.0 and 0.0 per family; and
+  ``integrate_mspe`` on d = 1 designs with n in 1..8 whose points include
+  0.0, -0.0 and near-ties;
 - five ``multistart_search`` outcomes, three with d = 1 and two with d = 2:
   values in hex, design bytes, converged starts and iterations, then every
   start's stop reason, projected-gradient norm in hex and iteration count;
@@ -72,7 +82,9 @@ from imspe import (
     FAMILY_KINDS,
     CovarianceFamily,
     ImspeError,
+    QuadratureSpec,
     SearchConfig,
+    average_over_domain,
     build_correlation_matrix,
     build_pair_matrix,
     build_single_vector,
@@ -261,6 +273,55 @@ def _oracles(digest, rng):
         digest.update(value.hex().encode())
 
 
+def _oracle_value(digest, oracle, *args):
+    try:
+        digest.update(oracle(*args).hex().encode())
+    except ImspeError as exc:
+        _update_error(digest, exc)
+
+
+def _oracle_edges(digest, rng):
+    ulp = np.nextafter(0.3, 1.0)
+    pairs = (
+        ("exponential", 5.0, 0.3, ulp),
+        ("matern52", 2.0, ulp, 0.3),
+        ("matern32", 2.0, 0.0, -0.0),
+        ("gaussian", 3.0, -0.0, 0.4),
+        ("matern52", 0.5, -1.0, 1.0),
+        ("exponential", 100.0, 0.31, 0.33),
+        ("exponential", 58.65513694707694, 0.30230729473956175, 0.3075607452836615),
+    )
+    for args in pairs:
+        _oracle_value(digest, integrate_pair, *args)
+
+    def product(x):
+        return rho("matern52", 4.0, x - 0.3) * rho("matern52", 4.0, x + 0.6)
+
+    splits = (
+        (0.0, -0.0),
+        (-0.0, 0.3, 0.3, -0.6, -0.6),
+        (1.5, -2.0, np.inf, -np.inf, 0.3, -0.6),
+        (np.nan, 0.3, -0.6),
+        (0.3, ulp, np.nextafter(ulp, 1.0), -0.6),
+    )
+    for split in splits:
+        _oracle_value(digest, average_over_domain, product, split)
+    _oracle_value(digest, average_over_domain, product, (0.3, -0.6), QuadratureSpec(rtol=1e-3))
+    _oracle_value(digest, average_over_domain, lambda x: np.sign(x - 0.3))
+    _oracle_value(digest, average_over_domain, lambda x: np.abs(x - 0.1) ** 0.5, (), QuadratureSpec(rtol=1e-16))
+    for kind in FAMILY_KINDS:
+        for a in (-1.0, 1.0, -0.0, 0.0):
+            _oracle_value(digest, integrate_single, kind, 1.7, a)
+    for n in range(1, 9):
+        kind = FAMILY_KINDS[n % len(FAMILY_KINDS)]
+        points = rng.uniform(-1.0, 1.0, size=n)
+        points[0] = rng.choice([0.0, -0.0])
+        if n > 2:
+            points[2] = rng.choice([np.nextafter(points[1], 1.0), points[1] + 1e-3])
+        family = CovarianceFamily(kind, [float(rng.uniform(0.5, 5.0))])
+        _oracle_value(digest, integrate_mspe, family, points)
+
+
 def _searches(digest):
     jobs = (
         ("exponential", [1.0], 3, 1, SearchConfig(starts=4, seed=1)),
@@ -335,6 +396,7 @@ def fingerprint():
     _cross_correlations(section("cross correlations"), np.random.default_rng(20174))
     _anchor_batches(section("anchor batches"), np.random.default_rng(20172))
     _oracles(section("oracles"), np.random.default_rng(20173))
+    _oracle_edges(section("oracle edges"), np.random.default_rng(20177))
     _searches(section("searches"))
     for argv in _RECORD_COMMANDS:
         _record(section(f"{argv[0]} record"), argv)
