@@ -87,13 +87,6 @@ def _sort_rows(points):
     return points.take(order, axis=0), order
 
 
-def _mirrors_itself(variant):
-    # negating every axis reverses the lexicographic row order, so a sorted
-    # point set is centrally symmetric iff it equals its negated reverse
-    rows = variant.tolist()
-    return rows == [[-x for x in row] for row in reversed(rows)]
-
-
 def _canonical_form(points):
     """Canonical points of an (n, d) array, and the row order and per-axis signs s behind them.
 
@@ -107,9 +100,7 @@ def _canonical_form(points):
     # mask (bit k set when axis k is negated). It grows row by row: the next
     # row is the smallest any unplaced row can become (-|x| on an axis whose
     # sign is free, +1 until fixed) and fixes its nonzero axes; tied rows
-    # branch, and branches whose signed points agree (0.0 == -0.0) merge. A
-    # tied branch that flips every axis of a centrally symmetric one would
-    # merge with it, so it is dropped before its sort
+    # branch, and branches whose signed points agree (0.0 == -0.0) merge
     n, d = points.shape
     coords = points.tolist()
     neg = -np.abs(points)
@@ -126,14 +117,10 @@ def _canonical_form(points):
             merged = [(*_sort_rows(points * s), s, rest, i)]
         else:
             grown.sort(key=lambda branch: [v < 0.0 for v in reversed(branch[0])])
-            keyed, mirrored = {}, set()
+            keyed = {}
             for s, rest, i in grown:
-                if tuple(s) in mirrored:
-                    continue
                 variant, order = _sort_rows(points * s)
                 keyed.setdefault((variant + 0.0).tobytes(), (variant, order, s, rest, i))
-                if _mirrors_itself(variant):
-                    mirrored.add(tuple(-v for v in s))
             merged = list(keyed.values())
         free = [f and x == 0.0 for f, x in zip(free, head)]
         if not any(free) or not points[:, free].any():
@@ -183,9 +170,11 @@ def _canonical_forms(stack):
 
 
 def build_correlation_matrix(family, design):
-    """Symmetric n x n matrix of pairwise design correlations, unit diagonal."""
+    """Symmetric n x n matrix of pairwise design correlations, unit diagonal; raises if an entry is not finite."""
     dsn = as_design(design)
-    return cross_correlation(family, dsn.points, dsn.points)
+    R = cross_correlation(family, dsn.points, dsn.points)
+    _check_finite(family.kind, family.theta, R=R)
+    return R
 
 
 @functools.lru_cache(maxsize=64)
@@ -225,25 +214,18 @@ def _filled(triangle, n):
     return triangle.take(_triangle(n)[2], axis=-1)
 
 
-def _axis_factors(kind, theta, col):
-    """Per-axis factors of R, W and v from ``_operands``' theta and column stack.
-
-    R and W are symmetric under anchor interchange, bit for bit, so their
-    factors are taken on the upper-triangle anchors alone: (d, T), (d, T)
-    and (d, n) stacks with T = n(n+1)/2, or (d, S, T), (d, S, T) and
-    (d, S, n) on an (S, n, d) stack of designs.
-    """
-    theta, cols, a, b = _anchors(theta, col)
-    return _correlations(kind, theta, a, b), _PAIR[kind](theta, a, b), _SINGLE[kind](theta, cols)
-
-
 def _assemble(family, points):
     """``_operands`` of checked (n, d) points or an (S, n, d) stack, their factor stacks and finite products R, W and v.
 
-    R and W are multiplied over the axes on the triangle, then ``_filled``.
+    R and W are symmetric under anchor interchange, bit for bit, so their
+    per-axis factors are taken on the upper-triangle anchors alone: (d, T),
+    (d, T) and (d, n) stacks with T = n(n+1)/2, or (d, S, T), (d, S, T) and
+    (d, S, n) on an (S, n, d) stack of designs. R and W are multiplied over
+    the axes on the triangle, then ``_filled``.
     """
-    operands = _operands(family, points)
-    factors = _axis_factors(*operands[:3])
+    operands = kind, theta, col, _ = _operands(family, points)
+    theta, cols, a, b = _anchors(theta, col)
+    factors = _correlations(kind, theta, a, b), _PAIR[kind](theta, a, b), _SINGLE[kind](theta, cols)
     R, W, v = map(_product, factors)
     _check_finite(family.kind, family.theta, R=R, W=W, v=v)
     n = points.shape[-2]
@@ -251,10 +233,12 @@ def _assemble(family, points):
 
 
 def build_pair_matrix(family, design):
-    """Symmetric n x n matrix of pair averages W_ij over the box (tensor product over axes)."""
+    """Symmetric n x n matrix of pair averages W_ij over the box (tensor product over axes); raises if an entry is not finite."""
     kind, theta, col, _ = _operands(family, as_design(design).points)
     theta, cols, a, b = _anchors(theta, col)
-    return _filled(_product(_PAIR[kind](theta, a, b)), cols.shape[-1])
+    W = _filled(_product(_PAIR[kind](theta, a, b)), cols.shape[-1])
+    _check_finite(kind, family.theta, W=W)
+    return W
 
 
 def build_single_vector(family, design):
@@ -511,7 +495,6 @@ def mspe_evaluator(family, design):
     """
     dsn = as_design(design)
     R = build_correlation_matrix(family, dsn)
-    _check_finite(family.kind, family.theta, R=R)
     c = _factor(R)
     ones = np.ones(len(R))
     u = _solve(c, ones)

@@ -112,8 +112,9 @@ def rho(kind, theta, h):
     ----------
     kind : str
         One of ``FAMILY_KINDS``.
-    theta : float
-        Positive length-scale parameter.
+    theta : float or array_like
+        Positive length scale; an array broadcasts against ``h`` elementwise,
+        each offset at its own theta. The kernel averages take one theta.
     h : float or ndarray
         Coordinate offset; only ``|h|`` matters.
 

@@ -11,7 +11,8 @@ integrand call, and each later level from one call of its own. Each level's
 sum is one exact math.fsum over its products, so results do not depend on
 panel order or on which levels share a call. Arguments are
 checked once, on entry: the kernel oracles take one theta and single-valued
-anchors, and their integrands evaluate the kernel unchecked.
+anchors, and their integrands multiply kernels through ``kernels._correlations``
+and ``_product``, the path of ``cross_correlation`` and the assembly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from .criterion import mspe_evaluator
 from .errors import OracleDivergenceError
 from .integrals import _validate_args
 # rho is unused here but stays bound: bench/spans.py looks it up on this module to trace it
-from .kernels import _RHO, _is_positive_real, as_design, rho  # noqa: F401
+from .kernels import _correlations, _is_positive_real, _product, as_design, rho  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,12 @@ def _average_of_product(kind, theta, spec, **anchors):
     for (name, value), point in zip(anchors.items(), points):
         if point.size != 1:
             raise ValueError(f"anchor {name} must be a single value, got {value!r}")
-    splits = [point.item() for point in points]
+    column = np.concatenate([point.reshape(1, 1) for point in points])
 
     def integrand(x):
-        return functools.reduce(operator.mul, [_RHO[kind](checked, np.abs(x - p)) for p in splits])
+        return _product(_correlations(kind, checked, x, column))
 
-    return average_over_domain(integrand, splits, spec)
+    return average_over_domain(integrand, column[:, 0], spec)
 
 
 def integrate_pair(kind, theta, a, b, spec=DEFAULT_SPEC):

@@ -279,6 +279,38 @@ def test_first_two_levels_take_one_integrand_call():
     assert calls == [64 * (3 + 6)]  # levels 0 and 1: 3 and 6 panels of 64 nodes
 
 
+def test_kernel_oracles_multiply_through_the_shared_kernel_path(monkeypatch):
+    # every integrand call is one kernels._correlations call on the (k, 1)
+    # column of the k anchors, whose rows kernels._product multiplies
+    rows = []
+    correlations, average = quadrature._correlations, quadrature.average_over_domain
+
+    def counting_correlations(kind, theta, col, row):
+        rows.append(np.shape(row))
+        return correlations(kind, theta, col, row)
+
+    integrand_calls = []
+
+    def counting_average(func, splits=(), spec=quadrature.DEFAULT_SPEC):
+        counting, calls = _counted(func)
+        integrand_calls.append(calls)
+        return average(counting, splits, spec)
+
+    monkeypatch.setattr(quadrature, "_correlations", counting_correlations)
+    monkeypatch.setattr(quadrature, "average_over_domain", counting_average)
+    # the narrow gaussian needs a third level, an integrand call of its own
+    for oracle, args, column, count in (
+        (integrate_pair, ("matern52", 2.0, 0.3, -0.2), (2, 1), 1),
+        (integrate_pair, ("gaussian", 1000.0, 0.31, -0.7), (2, 1), 2),
+        (integrate_single, ("matern52", 2.0, 0.3), (1, 1), 1),
+    ):
+        rows.clear()
+        integrand_calls.clear()
+        oracle(*args)
+        assert [len(calls) for calls in integrand_calls] == [count]
+        assert rows == [column] * count
+
+
 def test_spec_validation():
     for rtol in (0.0, -1e-13, math.inf, math.nan, True, np.True_, "1e-9"):
         with pytest.raises(ValueError, match="rtol"):

@@ -27,6 +27,13 @@ Hashed, in order:
   and d = 2 stacks at one theta and at one theta per axis, each stack of
   two or more with a design of coincident points in its middle; every
   entry's value, rounding unit and gradient bytes, or its error;
+- canonical forms: the points, row orders, signs and repeated-point flags
+  ``_canonical_forms`` returns for one-design stacks of centrally symmetric
+  designs (d in 1..6), the diagonal search starts (n in 2..8, d in 2..4),
+  2^d factorial and star designs (d in 2..5), grids of tied, 0.0 and -0.0
+  coordinates and uniform draws (d in 1..6), then for d = 1 stacks of 1, 2
+  and 7 designs that mix ties, signed zeros, mirror-symmetric designs and
+  uniform draws;
 - large designs, n in {32, 33, 64} and d in {1, 2, 6} per family, at one
   theta per axis and at one theta for all axes: Latin-hypercube points with
   one -0.0 coordinate and, for d >= 2, ties on the first axis; ``imspe()``'s
@@ -101,7 +108,7 @@ from imspe import (
     single_integral,
 )
 from imspe.cli import main
-from imspe.criterion import _value_and_gradient, _values_and_gradients
+from imspe.criterion import _canonical_forms, _value_and_gradient, _values_and_gradients
 
 
 def _designs(rng):
@@ -158,16 +165,21 @@ def _mirrored(rng, n):
     return rng.permutation(np.concatenate((half, -half, middle)))[:, None]
 
 
+def _d1_stack(rng, size):
+    # each design is tied, mirror-symmetric or uniform, at one n for the stack
+    n = int(rng.integers(1, 13))
+    draws = (
+        lambda: _signed_ties(rng, (n, 1)),
+        lambda: _mirrored(rng, n),
+        lambda: rng.uniform(-1.0, 1.0, size=(n, 1)),
+    )
+    return n, np.stack([draws[rng.integers(3)]() for _ in range(size)])
+
+
 def _stacks(rng):
     for kind in FAMILY_KINDS:
         for size in (1, 2, 7, 32):
-            n = int(rng.integers(1, 13))
-            draws = (
-                lambda: _signed_ties(rng, (n, 1)),
-                lambda: _mirrored(rng, n),
-                lambda: rng.uniform(-1.0, 1.0, size=(n, 1)),
-            )
-            stack = np.stack([draws[rng.integers(3)]() for _ in range(size)])
+            n, stack = _d1_stack(rng, size)
             yield kind, [float(rng.uniform(0.5, 5.0))], stack
             theta = rng.uniform(0.5, 5.0, size=2).tolist()
             for family_theta in (theta[:1], theta):
@@ -188,6 +200,32 @@ def _priced_stack(digest, family, stack):
             continue
         digest.update(f"{value.hex()} {unit.hex()}".encode())
         digest.update(grad.tobytes())
+
+
+def _canonical_designs(rng):
+    for d in range(1, 7):
+        for n in (1, 2, 4):
+            half = rng.uniform(-1.0, 1.0, size=(n, d))
+            yield np.vstack([half, -half])[None]
+    for n in range(2, 9):
+        for d in range(2, 5):
+            yield np.repeat(np.linspace(-1.0, 1.0, n + 2)[1:-1, None], d, axis=1)[None]
+    for d in range(2, 6):
+        yield np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(1, d, -1).transpose(0, 2, 1)
+        yield np.vstack([0.7 * np.eye(d), -0.7 * np.eye(d), np.zeros((1, d))])[None]
+    for d in range(1, 7):
+        for n in (1, 3, 6, 9):
+            yield rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(1, n, d))
+            yield rng.uniform(-1.0, 1.0, size=(1, n, d))
+    for size in (1, 2, 7):
+        for _ in range(4):
+            yield _d1_stack(rng, size)[1]
+
+
+def _canonical_forms_of(digest, rng):
+    for stack in _canonical_designs(rng):
+        for array in _canonical_forms(stack):
+            digest.update(array.tobytes())
 
 
 def _latin(rng, n, d):
@@ -391,6 +429,7 @@ def fingerprint():
     _evaluations(section("evaluations"), designs)
     _gradients(section("gradients"), designs)
     _stacked_rounds(section("stacked rounds"), np.random.default_rng(20175))
+    _canonical_forms_of(section("canonical forms"), np.random.default_rng(20178))
     _large_designs(section("large designs"), np.random.default_rng(20176))
     _assemblies(section("assemblies"), designs)
     _cross_correlations(section("cross correlations"), np.random.default_rng(20174))
