@@ -56,8 +56,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidDesignError, SingularDesignError
 # pair_integral and single_integral are re-exported: bench/spans.py traces them here
-from .integrals import _DPAIR, _PAIR, _SINGLE, _check_finite, _dsingle, pair_integral, single_integral  # noqa: F401
-from .kernels import _DRHO, _correlations, _operands, _product, as_design, cross_correlation
+from .integrals import _DPAIR, _PAIR, _SINGLE, _dsingle, pair_integral, single_integral  # noqa: F401
+from .kernels import _DRHO, _check_finite, _correlations, _operands, _product, as_design, cross_correlation
 
 _EPS = float(np.finfo(float).eps)
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .errors import InvalidHyperparameterError
-from .kernels import _RHO, validate_kind, validate_theta
+from .kernels import _RHO, _check_finite, validate_args
 
 # Stationary-bracket coefficients, highest-order Bessel rows first entry:
 # reversed rows n = 3 and n = 5 of the Bessel polynomial triangle.
@@ -61,29 +60,6 @@ def symmetrize_plus(f, a, b):
     for any a, b.
     """
     return f(a, b) + f(-a, -b)
-
-
-def _validate_args(kind, theta, *coords):
-    """Check kind, one theta and anchors; return the checked (theta, *coords) arrays."""
-    validate_kind(kind)
-    checked = validate_theta(theta)
-    if checked.size != 1:
-        raise InvalidHyperparameterError(f"a kernel average takes one theta, got {theta!r}")
-    anchors = [np.asarray(c, dtype=float) for c in coords]
-    # NaN fails the comparison too
-    if not all((np.abs(arr) <= 1.0).all() for arr in anchors):
-        raise ValueError("integral anchor points must be finite and lie in [-1, 1]")
-    return (checked, *anchors)
-
-
-def _check_finite(kind, theta, **arrays):
-    """InvalidHyperparameterError naming the kind, theta and array if one is not finite."""
-    for name, array in arrays.items():
-        if not np.isfinite(array).all():
-            raise InvalidHyperparameterError(
-                f"{kind} correlation at theta {np.ravel(theta).tolist()} is not finite "
-                f"in double precision ({name} has inf or nan entries)"
-            )
 
 
 def _pair_exponential(theta, a, b):
@@ -297,7 +273,7 @@ def pair_integral(kind, theta, a, b):
     Raises InvalidHyperparameterError when theta is so large that the value
     is not finite in double precision, as the criterion does.
     """
-    theta, a, b = _validate_args(kind, theta, a, b)
+    theta, a, b = validate_args(kind, theta, a, b)
     value = _PAIR[kind](theta, a, b)
     _check_finite(kind, theta, value=value)
     return value
@@ -361,7 +337,7 @@ def single_integral(kind, theta, a):
 
     Raises InvalidHyperparameterError like ``pair_integral``.
     """
-    theta, a = _validate_args(kind, theta, a)
+    theta, a = validate_args(kind, theta, a)
     value = _SINGLE[kind](theta, a)
     _check_finite(kind, theta, value=value)
     return value

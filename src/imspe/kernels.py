@@ -105,6 +105,35 @@ def validate_theta(theta):
     return arr
 
 
+def validate_args(kind, theta, *anchors):
+    """The checked (theta, *anchors) arrays of ``rho``, the kernel averages or their oracle.
+
+    The one argument rule of those entries: a known kind, one positive finite
+    theta (kept in its shape) and anchors of any shape, finite and in [-1, 1].
+    """
+    validate_kind(kind)
+    checked = np.asarray(theta, dtype=float)
+    # NaN fails both comparisons; validate_theta runs only to name a bad value
+    if checked.size != 1 or not 0.0 < checked.item() < math.inf:
+        validate_theta(theta)
+        raise InvalidHyperparameterError(f"a kernel and its averages take one theta, got {theta!r}")
+    arrays = [np.asarray(anchor, dtype=float) for anchor in anchors]
+    # NaN fails the comparison too
+    if any(np.count_nonzero(abs(arr) <= 1.0) != arr.size for arr in arrays):
+        raise ValueError("integral anchor points must be finite and lie in [-1, 1]")
+    return (checked, *arrays)
+
+
+def _check_finite(kind, theta, **arrays):
+    """InvalidHyperparameterError naming the kind, theta and array if one is not finite."""
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise InvalidHyperparameterError(
+                f"{kind} correlation at theta {np.ravel(theta).tolist()} is not finite "
+                f"in double precision ({name} has inf or nan entries)"
+            )
+
+
 def rho(kind, theta, h):
     """Evaluate a one-dimensional correlation function.
 
@@ -112,19 +141,18 @@ def rho(kind, theta, h):
     ----------
     kind : str
         One of ``FAMILY_KINDS``.
-    theta : float or array_like
-        Positive length scale; an array broadcasts against ``h`` elementwise,
-        each offset at its own theta. The kernel averages take one theta.
+    theta : float
+        Positive length scale; one value, as the kernel averages take.
     h : float or ndarray
-        Coordinate offset; only ``|h|`` matters.
+        Coordinate offset, any real value; only ``|h|`` matters.
 
     Returns
     -------
     float or ndarray
         Correlation value(s) in (0, 1], with rho(0) = 1 exactly.
     """
-    validate_kind(kind)
-    return _RHO[kind](validate_theta(theta), np.abs(h))
+    (checked,) = validate_args(kind, theta)
+    return _RHO[kind](checked, np.abs(h))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,19 @@ to near machine precision without Monte Carlo noise. Refinement interleaves
 the midpoints into the sorted breaks. The first two levels come from one
 integrand call, and each later level from one call of its own. Each level's
 sum is one exact math.fsum over its products, so results do not depend on
-panel order or on which levels share a call. Arguments are
-checked once, on entry: the kernel oracles take one theta and single-valued
-anchors, and their integrands multiply kernels through ``kernels._correlations``
-and ``_product``, the path of ``cross_correlation`` and the assembly.
+panel order or on which levels share a call. A level sum that is not
+finite can never stabilize, so it ends the refinement and is returned.
+
+The kernel oracles ``integrate_pair`` and ``integrate_single`` take their
+arguments through ``kernels.validate_args``, the rule of ``rho`` and the
+closed forms, plus single-valued anchors, and multiply kernels through
+``kernels._correlations`` and ``_product``, the path of
+``cross_correlation`` and the assembly. They refuse two results that a
+kernel average cannot have: a non-finite one raises
+``InvalidHyperparameterError`` naming the kind and theta, as the closed
+forms do, after the first integrand call; and 0.0, which means the kernel
+is narrower than the finest panel and was never resolved, raises
+``OracleDivergenceError``.
 """
 
 from __future__ import annotations
@@ -26,9 +35,8 @@ import numpy as np
 
 from .criterion import mspe_evaluator
 from .errors import OracleDivergenceError
-from .integrals import _validate_args
 # rho is unused here but stays bound: bench/spans.py looks it up on this module to trace it
-from .kernels import _correlations, _is_positive_real, _product, as_design, rho  # noqa: F401
+from .kernels import _check_finite, _correlations, _is_positive_real, _product, as_design, rho, validate_args  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -106,10 +114,21 @@ def average_over_domain(func, splits=(), spec=DEFAULT_SPEC):
         open interval are ignored.
     spec : QuadratureSpec
 
+    Returns
+    -------
+    float
+        The first level that agrees with the one before it, or the first
+        level sum that is not finite, which no refinement can stabilize.
+        An integrand whose average is 0 (an odd one) gives 0.0.
+
     Raises
     ------
     OracleDivergenceError
-        If successive refinements never agree to ``spec.rtol``.
+        If successive refinements never agree to ``spec.rtol``. The kernel
+        oracles refuse two results of this function: a non-finite one
+        raises ``InvalidHyperparameterError`` naming the kind and theta,
+        and 0.0, a kernel narrower than the finest panel, raises
+        ``OracleDivergenceError``.
     """
     breaks = _panel_breaks(splits)
     finer = _refined(breaks)
@@ -118,7 +137,7 @@ def average_over_domain(func, splits=(), spec=DEFAULT_SPEC):
         if split:
             finer = _refined(finer)
             previous, (value,) = value, _averages(func, (finer,))
-        if abs(value - previous) <= spec.rtol * max(abs(value), 1e-300):
+        if not math.isfinite(value) or abs(value - previous) <= spec.rtol * max(abs(value), 1e-300):
             return value
     raise OracleDivergenceError(
         f"quadrature did not stabilize to rtol={spec.rtol:g} "
@@ -130,9 +149,10 @@ def _average_of_product(kind, theta, spec, **anchors):
     """(1/2) * int of the product of rho(|p - x|) over the anchors p, in order, on [-1, 1].
 
     The one entry of both kernel oracles: each anchor must be a single
-    value, checked once here. Panels split at the anchors.
+    value, checked once here. Panels split at the anchors. A kernel average
+    is positive and finite, so a non-finite average and 0.0 are refused.
     """
-    checked, *points = _validate_args(kind, theta, *anchors.values())
+    checked, *points = validate_args(kind, theta, *anchors.values())
     for (name, value), point in zip(anchors.items(), points):
         if point.size != 1:
             raise ValueError(f"anchor {name} must be a single value, got {value!r}")
@@ -141,7 +161,15 @@ def _average_of_product(kind, theta, spec, **anchors):
     def integrand(x):
         return _product(_correlations(kind, checked, x, column))
 
-    return average_over_domain(integrand, column[:, 0], spec)
+    average = average_over_domain(integrand, column[:, 0], spec)
+    # NaN fails both comparisons; _check_finite runs only to name a non-finite average
+    if not 0.0 < average < math.inf:
+        _check_finite(kind, checked, average=average)
+        raise OracleDivergenceError(
+            f"{kind} correlation at theta {np.ravel(checked).tolist()} is narrower than "
+            "the finest panel: the oracle never resolved it and its average is 0.0"
+        )
+    return average
 
 
 def integrate_pair(kind, theta, a, b, spec=DEFAULT_SPEC):

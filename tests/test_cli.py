@@ -175,6 +175,17 @@ class TestIntegral:
         assert out == ""
         assert "matern52" in err and "1e+300" in err
 
+    def test_nonfinite_oracle_exit_usage(self, capsys):
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                ["integral", "--method", "quadrature", "--family", "matern32", "--theta", "1e308",
+                 "--a", "0.3", "--b", "-0.2"],
+                capsys,
+            )
+        assert code == 2
+        assert out == ""
+        assert "matern32" in err and "1e+308" in err
+
     def test_anchor_outside_box_exit_usage(self, capsys):
         for anchor in (["--a", "1.2"], ["--a", "nan", "--method", "quadrature"]):
             code, _, err = run_cli(

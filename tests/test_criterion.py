@@ -302,7 +302,7 @@ def test_wrong_theta_count_raises_at_sixteen_axes():
 
 def test_imspe_checks_its_design_once(monkeypatch):
     designs, checks = [], []
-    init, validate = Design.__init__, integrals._validate_args
+    init, validate = Design.__init__, kernels.validate_args
 
     def counting_init(self, points):
         designs.append(np.shape(points))
@@ -313,7 +313,9 @@ def test_imspe_checks_its_design_once(monkeypatch):
         return validate(*args)
 
     monkeypatch.setattr(Design, "__init__", counting_init)
-    monkeypatch.setattr(integrals, "_validate_args", counting_validate)
+    # integrals binds its own name for the kernels' argument checker
+    monkeypatch.setattr(kernels, "validate_args", counting_validate)
+    monkeypatch.setattr(integrals, "validate_args", counting_validate)
     fam = CovarianceFamily("matern32", [1.5, 0.5])
     ev = imspe(fam, [[-0.5, 0.25], [0.0, -0.75], [0.6, 0.6]])
     assert 0.0 < ev.value < 1.0

@@ -16,8 +16,13 @@ from imspe import (
     as_design,
     correlation,
     cross_correlation,
+    integrate_pair,
+    integrate_single,
+    pair_integral,
     rho,
+    single_integral,
 )
+from imspe import integrals, kernels, quadrature
 
 THETAS = (0.1, 1.0, 10.0)
 
@@ -148,8 +153,45 @@ def test_cross_correlation_has_the_bits_of_a_per_axis_product(kind):
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_rho_takes_a_list_theta_like_its_array(kind):
     grid = np.linspace(-2.0, 2.0, 41)
-    for theta, h in (([1.0, 2.0], 0.3), ([0.3], grid), ([[1.0], [2.0]], grid)):
-        assert rho(kind, theta, h).tobytes() == rho(kind, np.array(theta), h).tobytes()
+    assert rho(kind, [0.3], grid).tobytes() == rho(kind, np.array([0.3]), grid).tobytes()
+
+
+# the five kernel entries, each at the one theta it is given
+KERNEL_ENTRIES = {
+    "rho at one offset": lambda theta: rho("matern52", theta, 0.3),
+    "rho at two offsets": lambda theta: rho("matern52", theta, [0.1, 0.2]),
+    "rho at three offsets": lambda theta: rho("matern52", theta, [0.1, 0.2, 0.3]),
+    "pair_integral": lambda theta: pair_integral("matern52", theta, 0.3, -0.2),
+    "single_integral": lambda theta: single_integral("matern52", theta, 0.3),
+    "integrate_pair": lambda theta: integrate_pair("matern52", theta, 0.3, -0.2),
+    "integrate_single": lambda theta: integrate_single("matern52", theta, 0.3),
+}
+
+
+@pytest.mark.parametrize("entry", KERNEL_ENTRIES)
+def test_kernel_entries_take_one_theta(entry):
+    with pytest.raises(InvalidHyperparameterError, match="one theta"):
+        KERNEL_ENTRIES[entry]([1.0, 2.0])
+    # a bad value is named as such, as before the count
+    with pytest.raises(InvalidHyperparameterError, match="positive and finite"):
+        KERNEL_ENTRIES[entry]([1.0, -2.0])
+
+
+def test_kernel_entries_call_the_checker_once(monkeypatch):
+    calls = []
+    original = kernels.validate_args
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # integrals and quadrature bind their own names for the checker
+    for module in (kernels, integrals, quadrature):
+        monkeypatch.setattr(module, "validate_args", counting)
+    for entry, call in KERNEL_ENTRIES.items():
+        calls.clear()
+        call(2.0)
+        assert len(calls) == 1, entry
 
 
 def test_theta_broadcast_and_anisotropy_mismatch():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from imspe import integrals, kernels, quadrature
+from imspe import kernels, quadrature
 
 from imspe import (
     CovarianceFamily,
@@ -89,15 +89,15 @@ def test_pair_reflection_bit_exact():
 
 def test_kernel_oracles_check_theta_once(monkeypatch):
     calls = []
-    original = kernels.validate_theta
+    original = kernels.validate_args
 
-    def counting(theta):
-        calls.append(theta)
-        return original(theta)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    # integrals binds its own name for the checker, so both places are counted
-    monkeypatch.setattr(integrals, "validate_theta", counting)
-    monkeypatch.setattr(kernels, "validate_theta", counting)
+    # quadrature binds its own name for the checker, so both places are counted
+    monkeypatch.setattr(quadrature, "validate_args", counting)
+    monkeypatch.setattr(kernels, "validate_args", counting)
     integrate_pair("matern52", 2.0, 0.3, -0.2)
     assert len(calls) == 1
     calls.clear()
@@ -273,6 +273,57 @@ def _counted(func):
     return counting, calls
 
 
+def _counting_average(monkeypatch):
+    # counts every integrand call of each average the kernel oracles take
+    integrand_calls = []
+    average = quadrature.average_over_domain
+
+    def counting_average(func, splits=(), spec=quadrature.DEFAULT_SPEC):
+        counting, calls = _counted(func)
+        integrand_calls.append(calls)
+        return average(counting, splits, spec)
+
+    monkeypatch.setattr(quadrature, "average_over_domain", counting_average)
+    return integrand_calls
+
+
+def test_kernel_oracles_refuse_a_nonfinite_kernel_after_one_call(monkeypatch):
+    # sqrt(3 theta) overflows, so every kernel value is inf * 0; the closed
+    # forms raise the same error for the same input
+    integrand_calls = _counting_average(monkeypatch)
+    named = r"matern32 correlation at theta \[1e\+308\] is not finite"
+    with np.errstate(all="ignore"):
+        with pytest.raises(InvalidHyperparameterError, match=named):
+            integrate_pair("matern32", 1e308, 0.3, -0.2)
+        with pytest.raises(InvalidHyperparameterError, match=named):
+            integrate_single("matern32", 1e308, 0.3)
+        with pytest.raises(InvalidHyperparameterError, match=named):
+            pair_integral("matern32", 1e308, 0.3, -0.2)
+    assert [len(calls) for calls in integrand_calls] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "kind, theta, closed",
+    [("matern52", 1e200, 1.19e-100), ("gaussian", 1e308, 8.9e-155), ("exponential", 1e308, 0.0)],
+)
+def test_kernel_oracles_refuse_an_unresolved_zero(kind, theta, closed):
+    # the kernel is narrower than the finest panel, so every node sees 0.0;
+    # two levels agreeing on 0.0 certify nothing
+    with np.errstate(over="ignore"):
+        assert float(single_integral(kind, theta, 0.3)) == pytest.approx(closed, rel=0.01)
+    with pytest.raises(OracleDivergenceError, match=f"{kind} .* narrower than the finest panel"):
+        integrate_single(kind, theta, 0.3)
+    with pytest.raises(OracleDivergenceError, match=f"{kind} .* narrower than the finest panel"):
+        integrate_pair(kind, theta, 0.3, -0.2)
+
+
+def test_average_of_an_odd_integrand_is_zero():
+    # the generic average keeps 0.0 where the average really is 0
+    assert average_over_domain(lambda x: x) == 0.0
+    assert average_over_domain(np.sin) == 0.0
+    assert average_over_domain(np.sign, splits=(0.0,)) == 0.0
+
+
 def test_first_two_levels_take_one_integrand_call():
     counting, calls = _counted(lambda x: rho("matern52", 5.0, x - 0.2) * rho("matern52", 5.0, x + 0.8))
     assert average_over_domain(counting, (0.2, -0.8)) == integrate_pair("matern52", 5.0, 0.2, -0.8)
@@ -283,21 +334,14 @@ def test_kernel_oracles_multiply_through_the_shared_kernel_path(monkeypatch):
     # every integrand call is one kernels._correlations call on the (k, 1)
     # column of the k anchors, whose rows kernels._product multiplies
     rows = []
-    correlations, average = quadrature._correlations, quadrature.average_over_domain
+    correlations = quadrature._correlations
 
     def counting_correlations(kind, theta, col, row):
         rows.append(np.shape(row))
         return correlations(kind, theta, col, row)
 
-    integrand_calls = []
-
-    def counting_average(func, splits=(), spec=quadrature.DEFAULT_SPEC):
-        counting, calls = _counted(func)
-        integrand_calls.append(calls)
-        return average(counting, splits, spec)
-
     monkeypatch.setattr(quadrature, "_correlations", counting_correlations)
-    monkeypatch.setattr(quadrature, "average_over_domain", counting_average)
+    integrand_calls = _counting_average(monkeypatch)
     # the narrow gaussian needs a third level, an integrand call of its own
     for oracle, args, column, count in (
         (integrate_pair, ("matern52", 2.0, 0.3, -0.2), (2, 1), 1),
