@@ -145,9 +145,10 @@ def _canonical_forms(stack):
     shape, for speed alone. A d = 1 stack of two or more designs takes stable
     sorts of x and of ``x * -1.0``, the negation ``points * s`` makes, which
     wins only where lexicographically smaller (0.0 == -0.0), so ties keep the
-    least flip mask. Other stacks go design by design, one design unstacked.
+    least flip mask. Every other batch fills its (S, n, d), (S, n) and (S, d)
+    arrays design by design.
     """
-    size, _, d = stack.shape
+    size, n, d = stack.shape
     if d == 1 and size > 1:
         x = stack[..., 0]
         flipped = x * -1.0
@@ -161,11 +162,10 @@ def _canonical_forms(stack):
         points = np.where(flip[:, None], descending, ascending)[..., None]
         order = np.where(flip[:, None], down, up)
         signs = np.where(flip, -1.0, 1.0)[:, None]
-    elif size == 1:
-        points, order, signs = _canonical_form(stack[0])
-        points, order, signs = points[None], order[None], np.array([signs])
     else:
-        points, order, signs = map(np.stack, zip(*map(_canonical_form, stack)))
+        points, order, signs = np.empty((size, n, d)), np.empty((size, n), dtype=np.intp), np.empty((size, d))
+        for k, design in enumerate(stack):
+            points[k], order[k], signs[k] = _canonical_form(design)
     return points, order, signs, _repeats(points)
 
 

@@ -10,8 +10,8 @@ Each supported family admits elementary antiderivatives, so both averages
 reduce to polynomial-times-exponential expressions (erf for the gaussian
 family). The pair averages for the Matern kernels share one shape: a
 stationary bracket in |b - a| whose integer coefficients are rows of the
-Bessel-polynomial triangle, minus boundary brackets symmetrized by the
-joint sign flip (a, b) -> (-a, -b).
+Bessel-polynomial triangle, minus boundary brackets in the atoms S = a + b
+and G = a b, symmetrized by the joint sign flip J+ (a, b) -> (-a, -b), S -> -S.
 
 Every formula here is certified against panelwise Gauss-Legendre quadrature
 in the test suite; see quadrature.py for the oracle.
@@ -52,12 +52,12 @@ def bessel_polynomial_coefficients(degree):
 
 
 def symmetrize_plus(f, a, b):
-    """Apply the joint sign-flip symmetrizer: f(a, b) + f(-a, -b).
+    """Apply the joint sign-flip symmetrizer J+: f(a, b) + f(-a, -b).
 
     The boundary terms of every pair integral on [-1, 1] occur in pairs
-    related by reflecting both arguments through the origin; this operator
-    names that pattern. For f(a, b) = 1 + (a + b)/2 the result is exactly 2
-    for any a, b.
+    related by reflecting both arguments through the origin; this stays the
+    public name of that pattern, which the Matern forms apply as S -> -S.
+    For f(a, b) = 1 + (a + b)/2 the result is exactly 2 for any a, b.
     """
     return f(a, b) + f(-a, -b)
 
@@ -70,9 +70,9 @@ def _pair_exponential(theta, a, b):
         ( (1 + theta delta) e^{-theta delta}
           - (1/2) (e^{-theta (2 + S)} + e^{-theta (2 - S)}) ) / (2 theta)
     """
-    delta = np.abs(b - a)
+    theta_delta = theta * np.abs(b - a)
     ssum = a + b
-    stationary = (1.0 + theta * delta) * np.exp(-theta * delta)
+    stationary = (1.0 + theta_delta) * np.exp(-theta_delta)
     boundary = 0.5 * (np.exp(-theta * (2.0 + ssum)) + np.exp(-theta * (2.0 - ssum)))
     return (stationary - boundary) / (2.0 * theta)
 
@@ -101,20 +101,22 @@ def _pair_matern32(theta, a, b):
           - 3 J+[ (5 + 3 (2 + a + b) u + 2 (1 + a + b + a b) u^2) e^{-u (2 + a + b)} ] )
         / (24 u)
 
-    where J+ g(a, b) = g(a, b) + g(-a, -b). The stationary coefficients
-    (15, 15, 6, 1) are the reversed degree-3 Bessel row.
+    where J+ g(a, b) = g(a, b) + g(-a, -b), on the atoms S = a + b and G = a b
+    just S -> -S. The stationary coefficients (15, 15, 6, 1) are the reversed
+    degree-3 Bessel row.
     """
     u = np.sqrt(3.0 * theta)
     t = np.abs(b - a) * u
     c0, c1, c2, c3 = BESSEL_BRACKET_MATERN32
     stationary = 2.0 * (c0 + c1 * t + c2 * t * t + c3 * t**3) * np.exp(-t)
+    ssum, prod = a + b, a * b
 
-    def boundary(a_, b_):
-        ssum = a_ + b_
-        poly = 5.0 + 3.0 * (2.0 + ssum) * u + 2.0 * (1.0 + ssum + a_ * b_) * u * u
-        return poly * np.exp(-u * (2.0 + ssum))
+    def boundary(S):
+        shifted = 2.0 + S
+        poly = 5.0 + 3.0 * shifted * u + 2.0 * (1.0 + S + prod) * u * u
+        return poly * np.exp(-u * shifted)
 
-    return (stationary - 3.0 * symmetrize_plus(boundary, a, b)) / (24.0 * u)
+    return (stationary - 3.0 * (boundary(ssum) + boundary(-ssum))) / (24.0 * u)
 
 
 def _powers(s):
@@ -139,7 +141,7 @@ def _pair_matern52(theta, a, b):
 
     where the stationary coefficients are the reversed degree-5 Bessel row
     and the boundary polynomial, written over the symmetric atoms S = a + b
-    and G = a b, is
+    and G = a b (on which J+ is S -> -S), is
 
         P(a, b) = 945 + 675 (2 + S) s + 30 (27 + 27 S + 5 S^2 + 7 G) s^2
                   + 120 (1 + S + G) (2 + S) s^3 + 30 (1 + S + G)^2 s^4.
@@ -151,20 +153,20 @@ def _pair_matern52(theta, a, b):
     stationary = (
         2.0 * (c0 + c1 * t + c2 * t**2 + c3 * t**3 + c4 * t**4 + c5 * t**5) * np.exp(-t)
     )
+    # building everything from a + b and a * b keeps a <-> b exact
+    ssum, prod = a + b, a * b
 
-    def boundary(a_, b_):
-        # building everything from a + b and a * b keeps a <-> b exact
-        ssum = a_ + b_
-        prod = a_ * b_
-        spg = 1.0 + ssum + prod
-        p1 = 675.0 * (2.0 + ssum)
-        p2 = 30.0 * (27.0 + 27.0 * ssum + 5.0 * ssum * ssum + 7.0 * prod)
-        p3 = 120.0 * spg * (2.0 + ssum)
+    def boundary(S):
+        shifted = 2.0 + S
+        spg = 1.0 + S + prod
+        p1 = 675.0 * shifted
+        p2 = 30.0 * (27.0 + 27.0 * S + 5.0 * S * S + 7.0 * prod)
+        p3 = 120.0 * spg * shifted
         p4 = 30.0 * spg * spg
         poly = 945.0 + p1 * s + p2 * s2 + p3 * s3 + p4 * s4
-        return poly * np.exp(-s * (2.0 + ssum))
+        return poly * np.exp(-s * shifted)
 
-    return (stationary - symmetrize_plus(boundary, a, b)) / (1080.0 * s)
+    return (stationary - (boundary(ssum) + boundary(-ssum))) / (1080.0 * s)
 
 
 _PAIR = {

@@ -96,32 +96,32 @@ def _is_positive_real(value):
 
 
 def validate_theta(theta):
-    arr = np.asarray(theta, dtype=float)
-    # one pass: NaN fails both comparisons
-    if arr.size == 0 or not ((arr > 0.0) & (arr < np.inf)).all():
+    arr = np.asarray(theta)
+    # a bool, string or complex theta is no real number; NaN fails both comparisons
+    if arr.dtype.kind not in "iuf" or arr.size == 0 or not ((arr > 0.0) & (arr < np.inf)).all():
         raise InvalidHyperparameterError(
-            f"theta must be positive and finite, got {theta!r}"
+            f"theta must be real, positive and finite, got {theta!r}"
         )
-    return arr
+    return np.asarray(arr, dtype=float)
 
 
 def validate_args(kind, theta, *anchors):
     """The checked (theta, *anchors) arrays of ``rho``, the kernel averages or their oracle.
 
     The one argument rule of those entries: a known kind, one positive finite
-    theta (kept in its shape) and anchors of any shape, finite and in [-1, 1].
+    real theta (returned 0-d) and anchors of any shape, finite and in [-1, 1].
     """
     validate_kind(kind)
-    checked = np.asarray(theta, dtype=float)
+    checked = np.asarray(theta)
     # NaN fails both comparisons; validate_theta runs only to name a bad value
-    if checked.size != 1 or not 0.0 < checked.item() < math.inf:
+    if checked.dtype.kind not in "iuf" or checked.size != 1 or not 0.0 < checked.item() < math.inf:
         validate_theta(theta)
         raise InvalidHyperparameterError(f"a kernel and its averages take one theta, got {theta!r}")
     arrays = [np.asarray(anchor, dtype=float) for anchor in anchors]
     # NaN fails the comparison too
     if any(np.count_nonzero(abs(arr) <= 1.0) != arr.size for arr in arrays):
         raise ValueError("integral anchor points must be finite and lie in [-1, 1]")
-    return (checked, *arrays)
+    return (np.asarray(checked, dtype=float).reshape(()), *arrays)
 
 
 def _check_finite(kind, theta, **arrays):

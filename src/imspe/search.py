@@ -8,7 +8,7 @@ Cholesky factor (the adjoint in ``criterion._values_and_gradients``);
 against.
 
 The starts run in lockstep, in one driver (``_descend``) that keeps every
-start's iterate, value, gradient, quasi-Newton matrix and line-search step
+start's iterate, value, gradient, quasi-Newton matrix and line-search trial
 as rows of (S, ...) arrays and makes each decision with masks over them.
 Each round it prices the pending trial of every live start with one
 criterion call on their stack, so a multistart makes as many calls as its
@@ -227,8 +227,11 @@ def _descend(family, starts, config):
 
     Returns each start's LocalSearchResult, or the SingularDesignError of a
     singular start, in start order. Every start's iterate, value, gradient,
-    quasi-Newton matrix (with a flag for the identity) and line-search state
-    is a row of an (S, ...) array, and masks make each decision for all
+    rounding unit, quasi-Newton matrix (with a flag for the identity),
+    iteration count, gradient norm, direction, step scale and trial point is
+    a row of an (S, ...) array; the step (trial - x), its slope g's and the
+    trial count (the scale's exact halvings from 1.0) derive from them, as x
+    and g change only on acceptance. Masks make each decision for all
     starts at once. Each round prices the pending trial of every live start
     in one ``_values_and_gradients`` call on their stack, so a multistart
     makes as many calls as its longest start makes evaluations. Its value,
@@ -261,10 +264,7 @@ def _descend(family, starts, config):
     grad_norm = np.zeros(size)
     direction = np.zeros((size, m))
     scale = np.ones(size)
-    trials = np.zeros(size, dtype=int)
     trial = np.zeros((size, m))
-    step = np.zeros((size, m))
-    slope = np.zeros(size)
 
     def stop(indices, reason):
         for i in indices:
@@ -304,19 +304,17 @@ def _descend(family, starts, config):
                     direction[at[~broken]] = newton[~broken]
                 steepest = ~has_model[begin]
                 direction[begin[steepest]] = -pg[steepest]
-                scale[begin], trials[begin] = 1.0, 0
+                scale[begin] = 1.0
                 propose, begin = np.concatenate((propose, begin)), nothing
             if propose.size:  # the next trial of each line search
-                exhausted = trials[propose] == _LINESEARCH_CAP
+                exhausted = scale[propose] == 0.5**_LINESEARCH_CAP
                 stall, propose = propose[exhausted], propose[~exhausted]
                 origin = x[propose]
                 candidate = np.minimum(np.maximum(origin + scale[propose, None] * direction[propose], -1.0), 1.0)
-                moved = candidate - origin
-                zero = ~moved.any(axis=1)
+                zero = (candidate == origin).all(axis=1)
                 stall = np.concatenate((stall, propose[zero]))
                 live = propose[~zero]
-                trial[live], step[live] = candidate[~zero], moved[~zero]
-                slope[live] = _dot(g[live], moved[~zero])
+                trial[live] = candidate[~zero]
                 pending.append(live)
                 propose = nothing
         pending = np.concatenate(pending) if pending else nothing
@@ -326,27 +324,27 @@ def _descend(family, starts, config):
         f_new, g_new, unit_new, _ = _values_and_gradients(family, trial[pending].reshape(-1, n, d))
         g_new = g_new.reshape(-1, m)
         f_old = f[pending]
+        step = trial[pending] - x[pending]
+        slope = _dot(g[pending], step)
         rounding = _ROUNDING_UNITS * unit[pending]
-        armijo = f_new <= f_old + _ARMIJO * slope[pending]
+        armijo = f_new <= f_old + _ARMIJO * slope
         near = ~armijo & (np.abs(f_new - f_old) <= rounding)
         wolfe = np.zeros_like(near)
         if near.any():
-            slope_new = _dot(g_new[near], step[pending[near]])
-            slope_old = slope[pending[near]]
-            wolfe[near] = (_WOLFE_SIGMA * slope_old <= slope_new) & (
-                slope_new <= (2.0 * _WOLFE_DELTA - 1.0) * slope_old)
+            slope_new = _dot(g_new[near], step[near])
+            wolfe[near] = (_WOLFE_SIGMA * slope[near] <= slope_new) & (
+                slope_new <= (2.0 * _WOLFE_DELTA - 1.0) * slope[near])
         accepted = armijo | wolfe
         # a shorter step would change f by less than it can resolve
-        flat = ~accepted & (np.abs(slope[pending]) <= rounding)
+        flat = ~accepted & (np.abs(slope) <= rounding)
         halve = pending[~accepted & ~flat]
         scale[halve] *= 0.5
-        trials[halve] += 1
         stall, propose = pending[flat], halve
         begin = pending[accepted]
         g_new = g_new[accepted]
         # a non-finite g_new leaves the model as it is, and the next top stops on it
         finite = np.isfinite(g_new).all(axis=1)
-        _update_models(H, has_model, begin[finite], step[begin[finite]], (g_new - g[begin])[finite])
+        _update_models(H, has_model, begin[finite], step[accepted][finite], (g_new - g[begin])[finite])
         x[begin], f[begin], g[begin], unit[begin] = trial[begin], f_new[accepted], g_new, unit_new[accepted]
     return [
         error if error is not None else LocalSearchResult(

@@ -96,7 +96,9 @@ def test_pair_interchange_symmetry_bit_exact(kind, theta, a, b):
 def test_anchor_interchange_is_bit_exact_on_array_anchors(kind):
     # the assembly takes R and W on the anchor pairs i <= j alone and fills
     # in the rest, so swapping the anchor arrays must keep every byte; ties,
-    # 0.0 against -0.0, the box edges and one theta per axis included
+    # 0.0 against -0.0, the box edges and one theta per axis included. The
+    # joint reflection (a, b) -> (-a, -b) keeps every byte too, at a = -b
+    # and at signed zeros, where the closed forms meet S = a + b at -S
     rng = np.random.default_rng(FAMILY_KINDS.index(kind))
     grid = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
     shape = (3, 400)
@@ -104,11 +106,14 @@ def test_anchor_interchange_is_bit_exact_on_array_anchors(kind):
     b = np.where(rng.random(shape) < 0.5, rng.choice(grid, size=shape), rng.uniform(-1.0, 1.0, size=shape))
     b[:, :50] = a[:, :50]  # ties
     b[:, 50:60], a[:, 50:60] = 0.0, -0.0
+    b[:, 60:80] = -a[:, 60:80]  # a = -b, so S is a signed zero
+    b[:, 80:85], a[:, 80:85] = -0.0, -0.0
     for theta in (np.float64(2.5), rng.uniform(0.05, 20.0, size=(3, 1)), np.array([[1e-6], [1.0], [1e2]])):
         forward = kernels._correlations(kind, theta, a, b)
         assert forward.tobytes() == kernels._correlations(kind, theta, b, a).tobytes()
         forward = integrals._PAIR[kind](theta, a, b)
         assert forward.tobytes() == integrals._PAIR[kind](theta, b, a).tobytes()
+        assert forward.tobytes() == integrals._PAIR[kind](theta, -a, -b).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,9 +124,8 @@ def test_anchor_interchange_is_bit_exact_on_array_anchors(kind):
     b=coords,
 )
 def test_pair_reflection_symmetry(kind, theta, a, b):
-    forward = float(pair_integral(kind, theta, a, b))
-    reflected = float(pair_integral(kind, theta, -a, -b))
-    assert forward == pytest.approx(reflected, rel=1e-15, abs=1e-300)
+    # bitwise, as README promises
+    assert float(pair_integral(kind, theta, a, b)) == float(pair_integral(kind, theta, -a, -b))
 
 
 @settings(max_examples=200, deadline=None)

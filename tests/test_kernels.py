@@ -42,6 +42,18 @@ def test_bad_theta_rejected(kind, theta):
         CovarianceFamily(kind, [theta])
 
 
+# a bool, a string and a complex number are no real theta
+NOT_REAL_THETAS = (True, np.True_, "1.0", np.array(["2.0"]), "abc", 1 + 2j)
+
+
+@pytest.mark.parametrize("theta", NOT_REAL_THETAS, ids=repr)
+def test_family_refuses_a_theta_that_is_not_real(theta):
+    with pytest.raises(InvalidHyperparameterError, match="real, positive and finite"):
+        CovarianceFamily("matern52", theta)
+    with pytest.raises(InvalidHyperparameterError, match="real, positive and finite"):
+        CovarianceFamily("matern52", [theta])
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidHyperparameterError):
         rho("cubic", 1.0, 0.5)
@@ -154,6 +166,23 @@ def test_cross_correlation_has_the_bits_of_a_per_axis_product(kind):
 def test_rho_takes_a_list_theta_like_its_array(kind):
     grid = np.linspace(-2.0, 2.0, 41)
     assert rho(kind, [0.3], grid).tobytes() == rho(kind, np.array([0.3]), grid).tobytes()
+    # one theta in any shape gives the offsets' shape and the scalar's bytes
+    for theta in ([0.3], [[0.3]], np.array([[[0.3]]])):
+        assert rho(kind, theta, grid).shape == grid.shape
+        assert rho(kind, theta, 0.2).shape == ()
+        assert rho(kind, theta, grid).tobytes() == rho(kind, 0.3, grid).tobytes()
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_closed_forms_take_the_anchors_shape_at_one_theta(kind):
+    a = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    for theta in ([2.0], [[2.0]], np.array([2.0])):
+        assert pair_integral(kind, theta, 0.1, 0.3).shape == ()
+        assert single_integral(kind, theta, 0.1).shape == ()
+        assert pair_integral(kind, theta, a, -0.2).shape == a.shape
+        assert single_integral(kind, theta, a).shape == a.shape
+        assert pair_integral(kind, theta, a, -a).tobytes() == pair_integral(kind, 2.0, a, -a).tobytes()
+        assert single_integral(kind, theta, a).tobytes() == single_integral(kind, 2.0, a).tobytes()
 
 
 # the five kernel entries, each at the one theta it is given
@@ -175,6 +204,9 @@ def test_kernel_entries_take_one_theta(entry):
     # a bad value is named as such, as before the count
     with pytest.raises(InvalidHyperparameterError, match="positive and finite"):
         KERNEL_ENTRIES[entry]([1.0, -2.0])
+    for theta in NOT_REAL_THETAS:
+        with pytest.raises(InvalidHyperparameterError, match="real, positive and finite"):
+            KERNEL_ENTRIES[entry](theta)
 
 
 def test_kernel_entries_call_the_checker_once(monkeypatch):

@@ -214,6 +214,40 @@ def test_line_search_prices_a_coincident_trial_as_inf(monkeypatch):
     assert out.value < f
 
 
+def test_line_search_stops_after_its_cap_of_priced_trials(monkeypatch):
+    # a start at x_0 = 0.0 (x_0 <= 0.0 marks it) sees f = 1 at the start and
+    # 2 at every trial, a constant gradient and a 0.0 rounding unit, so each
+    # trial is refused and halved, and the halved steps stay resolvable; the
+    # other start descends the quadratic |x - c|^2 to its minimum
+    refusing, converging = np.array([[0.0], [0.5]]), np.array([[0.8], [-0.4]])
+    centre = np.array([[0.6], [-0.2]])
+    priced = []
+
+    def fake(family, stack):
+        values, grads = np.empty(len(stack)), np.empty(stack.shape)
+        for k, points in enumerate(stack):
+            if points[0, 0] <= 0.0:
+                priced.append(points.tobytes())
+                values[k], grads[k] = (1.0 if np.array_equal(points, refusing) else 2.0), 1.0
+            else:
+                values[k], grads[k] = ((points - centre) ** 2).sum(), 2.0 * (points - centre)
+        return values, grads, np.zeros(len(stack)), [None] * len(stack)
+
+    monkeypatch.setattr(search, "_values_and_gradients", fake)
+    fam = CovarianceFamily("matern52", [2.0])
+    for starts, at in (([refusing], 0), ([refusing, converging], 0), ([converging, refusing], 1)):
+        priced.clear()
+        outcomes = search._descend(fam, np.stack(starts), SearchConfig())
+        stalled = outcomes[at]
+        assert (stalled.stop_reason, stalled.iterations) == ("linesearch_stall", 1)
+        assert stalled.design.points.tobytes() == refusing.tobytes()
+        # the start itself, then exactly the cap of distinct trials
+        assert len(priced) == 1 + search._LINESEARCH_CAP
+        assert len(set(priced)) == len(priced)
+        if len(starts) == 2:
+            assert {o.stop_reason for o in outcomes} == {"linesearch_stall", "grad_tol"}
+
+
 def test_local_search_at_optimum_stays_put():
     fam = CovarianceFamily("gaussian", [1.0])
     start = Design([-0.5479848421867, 0.5479848421867])

@@ -32,8 +32,8 @@ Hashed, in order:
   designs (d in 1..6), the diagonal search starts (n in 2..8, d in 2..4),
   2^d factorial and star designs (d in 2..5), grids of tied, 0.0 and -0.0
   coordinates and uniform draws (d in 1..6), then for d = 1 stacks of 1, 2
-  and 7 designs that mix ties, signed zeros, mirror-symmetric designs and
-  uniform draws;
+  and 7 designs and for stacks of 2 and 5 designs at d in {2, 3, 6}, each
+  mixing ties, signed zeros, mirror-symmetric designs and uniform draws;
 - large designs, n in {32, 33, 64} and d in {1, 2, 6} per family, at one
   theta per axis and at one theta for all axes: Latin-hypercube points with
   one -0.0 coordinate and, for d >= 2, ties on the first axis; ``imspe()``'s
@@ -159,27 +159,29 @@ def _signed_ties(rng, shape):
     return np.where(rng.random(shape) < 0.5, grid, rng.uniform(-1.0, 1.0, size=shape))
 
 
-def _mirrored(rng, n):
-    half = rng.uniform(-1.0, 1.0, size=n // 2)
-    middle = rng.choice([-0.0, 0.0], size=n % 2)
-    return rng.permutation(np.concatenate((half, -half, middle)))[:, None]
+def _mirrored(rng, n, d=1):
+    # rows in mirror pairs x, -x, and a signed-zero row when n is odd
+    half = rng.uniform(-1.0, 1.0, size=(n // 2, d))
+    middle = rng.choice([-0.0, 0.0], size=(n % 2, d))
+    return rng.permutation(np.concatenate((half, -half, middle)))
 
 
-def _d1_stack(rng, size):
-    # each design is tied, mirror-symmetric or uniform, at one n for the stack
-    n = int(rng.integers(1, 13))
+def _mixed_stack(rng, size, d=1, top=13):
+    # each design is tied, mirror-symmetric or uniform, at one n below top for the stack
+    n = int(rng.integers(1, top))
     draws = (
-        lambda: _signed_ties(rng, (n, 1)),
-        lambda: _mirrored(rng, n),
-        lambda: rng.uniform(-1.0, 1.0, size=(n, 1)),
+        lambda: _signed_ties(rng, (n, d)),
+        lambda: _mirrored(rng, n, d),
+        lambda: rng.uniform(-1.0, 1.0, size=(n, d)),
     )
-    return n, np.stack([draws[rng.integers(3)]() for _ in range(size)])
+    return np.stack([draws[rng.integers(3)]() for _ in range(size)])
 
 
 def _stacks(rng):
     for kind in FAMILY_KINDS:
         for size in (1, 2, 7, 32):
-            n, stack = _d1_stack(rng, size)
+            stack = _mixed_stack(rng, size)
+            n = stack.shape[1]
             yield kind, [float(rng.uniform(0.5, 5.0))], stack
             theta = rng.uniform(0.5, 5.0, size=2).tolist()
             for family_theta in (theta[:1], theta):
@@ -219,7 +221,11 @@ def _canonical_designs(rng):
             yield rng.uniform(-1.0, 1.0, size=(1, n, d))
     for size in (1, 2, 7):
         for _ in range(4):
-            yield _d1_stack(rng, size)[1]
+            yield _mixed_stack(rng, size)
+    for size in (2, 5):
+        for d in (2, 3, 6):
+            for _ in range(4):
+                yield _mixed_stack(rng, size, d, top=10)
 
 
 def _canonical_forms_of(digest, rng):
