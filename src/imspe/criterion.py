@@ -34,7 +34,7 @@ the coordinate axis first and puts the start axis second, so each closed
 form, each slope, the products over axes and the adjoint's contractions
 run once for the whole batch, on (d, S, T) triangle stacks and, for the
 slopes and the adjoint, (d, S, n, n) stacks. One canonicaliser
-(``_canonical_forms``, its rule chosen by the batch's shape) and one value
+(``_canonical_forms``, its rule chosen by the batch's size) and one value
 step (``_priced``) serve the batch and ``imspe()``, its batch of one: each
 design keeps its own ``dpotrf`` factor, ``dpotrs`` solves and exact sum,
 which keeps LAPACK's bits and lets a singular design price as its own
@@ -141,31 +141,29 @@ def _repeats(rows):
 def _canonical_forms(stack):
     """Canonical points, row orders and signs of each design in an (S, n, d) stack, and which repeat a point.
 
-    Design s gets ``_canonical_form(stack[s])``; the rule goes by the batch's
-    shape, for speed alone. A d = 1 stack of two or more designs takes stable
-    sorts of x and of ``x * -1.0``, the negation ``points * s`` makes, which
-    wins only where lexicographically smaller (0.0 == -0.0), so ties keep the
-    least flip mask. Every other batch fills its (S, n, d), (S, n) and (S, d)
-    arrays design by design.
+    Design s gets ``_canonical_form(stack[s])``, which a batch of one calls;
+    the rule goes by batch size alone, for speed. In a larger batch a design
+    whose head row (least -|x|, by one lexsort) is unique and has no zero
+    coordinate takes the head's signs (-1.0 on its positive axes) and one
+    lexsort of the signed rows; any other design calls ``_canonical_form``.
     """
     size, n, d = stack.shape
-    if d == 1 and size > 1:
-        x = stack[..., 0]
-        flipped = x * -1.0
-        up = np.argsort(x, axis=1, kind="stable")
-        down = np.argsort(flipped, axis=1, kind="stable")
-        ascending = np.take_along_axis(x, up, axis=1)
-        descending = np.take_along_axis(flipped, down, axis=1)
-        # the first row where the two differ decides; where none does, the difference is a zero
-        first = (ascending != descending).argmax(axis=1)[:, None]
-        flip = (np.take_along_axis(descending - ascending, first, axis=1) < 0.0)[:, 0]
-        points = np.where(flip[:, None], descending, ascending)[..., None]
-        order = np.where(flip[:, None], down, up)
-        signs = np.where(flip, -1.0, 1.0)[:, None]
+    if size == 1:
+        points, order, signs = np.empty((1, n, d)), np.empty((1, n), dtype=np.intp), np.empty((1, d))
+        searched = [0]
     else:
-        points, order, signs = np.empty((size, n, d)), np.empty((size, n), dtype=np.intp), np.empty((size, d))
-        for k, design in enumerate(stack):
-            points[k], order[k], signs[k] = _canonical_form(design)
+        designs = np.arange(size)[:, None]
+        ranked = np.lexsort(-np.abs(stack.transpose(2, 0, 1)[::-1]))
+        lead = stack[designs, ranked[:, :2]]
+        head, magnitude = lead[:, 0], np.abs(lead)
+        tied = (magnitude[:, 1:] == magnitude[:, :1]).all(axis=2).any(axis=1)
+        searched = np.flatnonzero(tied | (head == 0.0).any(axis=1))
+        signs = np.where(head > 0.0, -1.0, 1.0)
+        signed = stack * signs[:, None, :]
+        order = np.lexsort(signed.transpose(2, 0, 1)[::-1])
+        points = signed[designs, order]
+    for k in searched:
+        points[k], order[k], signs[k] = _canonical_form(stack[k])
     return points, order, signs, _repeats(points)
 
 

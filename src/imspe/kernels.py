@@ -149,7 +149,9 @@ def rho(kind, theta, h):
     Returns
     -------
     float or ndarray
-        Correlation value(s) in (0, 1], with rho(0) = 1 exactly.
+        Correlation value(s) in [0, 1]: 1.0 at h = 0 and wherever the
+        kernel rounds to 1 (gaussian theta = 1 at h = 1e-9), and 0.0 once
+        it underflows (exponential theta = 1 at h = 1000).
     """
     (checked,) = validate_args(kind, theta)
     return _RHO[kind](checked, np.abs(h))
@@ -186,7 +188,19 @@ class CovarianceFamily:
 
 
 def _as_points(points):
-    pts = np.array(points, dtype=float)
+    """A float copy of array-like points as an (n, d) array; a flat sequence gives d = 1.
+
+    Raises InvalidDesignError for a ragged sequence, for coordinates that
+    are not integer or floating-point numbers (bools, strings, complex
+    numbers, objects) and for any other number of dimensions.
+    """
+    try:
+        pts = np.array(points)
+    except ValueError:
+        raise InvalidDesignError("points must form an n x d array, not a ragged sequence") from None
+    if pts.dtype.kind not in "fiu":
+        raise InvalidDesignError(f"design coordinates must be real numbers, got dtype {pts.dtype}")
+    pts = pts.astype(float, copy=False)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
@@ -236,8 +250,9 @@ def correlation(family, x, y):
 
     The one entry of ``cross_correlation`` for the two points. Accepts
     points slightly outside the unit box so quadrature abscissae can be
-    evaluated without ceremony. Returns a float in (0, 1], equal to 1.0
-    exactly when x == y coordinatewise.
+    evaluated without ceremony. Returns a float in [0, 1]: 1.0 where
+    x == y coordinatewise and wherever the kernel rounds to 1, and 0.0 once
+    it underflows.
     """
     return float(cross_correlation(family, [x], [y])[0, 0])
 

@@ -207,37 +207,68 @@ def test_canonical_points_match_the_sign_flip_enumeration():
         assert (points * signs)[order].tobytes() == fast.tobytes()
 
 
-def test_one_sort_gives_the_canonical_form_of_every_d1_design(monkeypatch):
-    # ties, 0.0 and -0.0, mirror-symmetric designs and uniform draws, mixed
-    # in one stack: points (sign bits included), row orders and signs agree,
-    # and each flag says whether adjacent sorted rows repeat a point
+def _stacked_design(rng, n, d, kind):
+    if kind == "ties":  # ties, 0.0 and -0.0
+        return rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(n, d))
+    points = rng.uniform(-0.9, 0.9, size=(n, d))
+    if kind == "mirror":
+        half = points[: n // 2]
+        points[n - len(half):] = -half[rng.permutation(len(half))]
+    elif kind == "first tie" and n > 1:  # rows 0 and 1 tie on axis 0 alone, so the head is unique
+        points[0, 0] = rng.choice([-0.95, 0.95])
+        points[1, 0] = -points[0, 0]
+    elif kind == "repeat" and n > 1:
+        points[-1] = points[int(rng.integers(n - 1))]
+    return rng.permutation(points)
+
+
+def _head_leaves_a_sign_open(design):
+    # the head is the smallest row any sign vector makes, the least -|x|;
+    # a second row equal to it, or a zero coordinate, leaves a sign open
+    rows = (-np.abs(design)).tolist()
+    head = min(rows)
+    return rows.count(head) > 1 or 0.0 in head
+
+
+def test_the_head_row_gives_the_canonical_form_of_every_stacked_design(monkeypatch):
+    # ties, 0.0 and -0.0, mirror-symmetric designs, first coordinates that
+    # tie under a unique head, repeated points and uniform draws, mixed in
+    # one stack: points (sign bits included), row orders and signs agree,
+    # each flag says whether adjacent sorted rows repeat a point, and only
+    # designs whose head ties or has a zero coordinate take the search
     calls = []
-    monkeypatch.setattr(criterion, "_canonical_form", lambda points: calls.append(points))
+    canonical_form = criterion._canonical_form
+
+    def recording_canonical_form(points):
+        calls.append(points.tobytes())
+        return canonical_form(points)
+
+    monkeypatch.setattr(criterion, "_canonical_form", recording_canonical_form)
+    kinds = ("ties", "mirror", "first tie", "repeat", "uniform")
     rng = np.random.default_rng(14)
-    for _ in range(300):
-        size, n = int(rng.integers(2, 12)), int(rng.integers(1, 9))
-        stack = np.where(
-            rng.random((size, n, 1)) < 0.6,
-            rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(size, n, 1)),
-            rng.uniform(-1.0, 1.0, size=(size, n, 1)),
-        )
-        for s in range(0, size, 2):
-            half = stack[s, : n // 2, 0]
-            stack[s, n - len(half):, 0] = -half[rng.permutation(len(half))]
-        points, order, signs, repeated = criterion._canonical_forms(stack)
-        assert calls == []  # the one sort, never the per-design search
-        for s, design in enumerate(stack):
-            ref_points, ref_order, ref_signs = _canonical_form(design)
-            assert points[s].tobytes() == ref_points.tobytes()
-            assert np.array_equal(order[s], ref_order)
-            assert signs[s].tobytes() == np.array(ref_signs).tobytes()
-            rows = _sort_rows(design)[0]
-            assert repeated[s] == any(np.array_equal(a, b) for a, b in zip(rows[1:], rows[:-1]))
+    searched = 0
+    for d in (1, 2, 3, 6, 10):
+        for size in (2, 7, 32):
+            for _ in range(12):
+                n = int(rng.integers(1, 9))
+                stack = np.stack([_stacked_design(rng, n, d, kinds[rng.integers(5)]) for _ in range(size)])
+                calls.clear()
+                points, order, signs, repeated = criterion._canonical_forms(stack)
+                assert calls == [design.tobytes() for design in stack if _head_leaves_a_sign_open(design)]
+                searched += len(calls)
+                for s, design in enumerate(stack):
+                    ref_points, ref_order, ref_signs = canonical_form(design)
+                    assert points[s].tobytes() == ref_points.tobytes()
+                    assert np.array_equal(order[s], ref_order)
+                    assert signs[s].tobytes() == np.array(ref_signs).tobytes()
+                    rows = _sort_rows(design)[0]
+                    assert repeated[s] == any(np.array_equal(a, b) for a, b in zip(rows[1:], rows[:-1]))
+    assert 0 < searched
 
 
 def test_the_batch_shape_picks_the_canonical_rule(monkeypatch):
-    # a batch of one takes the per-design search once, unstacked; a d = 1
-    # batch of two or more takes the one sort; larger d goes design by design
+    # a batch of one takes the per-design search once; a batch of two or
+    # more designs with unique, zero-free heads takes the stacked rule alone
     calls = []
     canonical_form = criterion._canonical_form
 
@@ -248,7 +279,7 @@ def test_the_batch_shape_picks_the_canonical_rule(monkeypatch):
     monkeypatch.setattr(criterion, "_canonical_form", counting_canonical_form)
     fam = CovarianceFamily("matern32", 2.0)
     rng = np.random.default_rng(18)
-    for size, d, expected in ((1, 1, 1), (1, 3, 1), (2, 1, 0), (7, 1, 0), (3, 2, 3)):
+    for size, d, expected in ((1, 1, 1), (1, 3, 1), (2, 1, 0), (7, 1, 0), (3, 2, 0)):
         stack = rng.uniform(-1.0, 1.0, size=(size, 5, d))
         for call in (criterion._canonical_forms, lambda batch: criterion._values_and_gradients(fam, batch)):
             calls.clear()

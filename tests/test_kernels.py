@@ -16,6 +16,7 @@ from imspe import (
     as_design,
     correlation,
     cross_correlation,
+    imspe,
     integrate_pair,
     integrate_single,
     pair_integral,
@@ -261,6 +262,18 @@ def test_design_names_why_its_points_are_rejected():
     with pytest.raises(InvalidDesignError, match="finite"):
         Design([1.5, math.nan])
     assert Design([-1.0, 1.0, -0.0]).n == 3
+    # coordinates that are not real numbers, and a ragged input, are named
+    # as such; a bool is not read as 1.0 or 0.0
+    fam = CovarianceFamily("matern52", 2.0)
+    not_real = ("abc", [[0.1, "a"]], [[0.1 + 0.2j]], [[True], [False]], np.array([[0.1]], dtype=object), [[None]])
+    for bad in not_real:
+        for call in (Design, lambda points: imspe(fam, points), lambda points: cross_correlation(fam, points, [0.3])):
+            with pytest.raises(InvalidDesignError, match=r"^design coordinates must be real numbers, got dtype "):
+                call(bad)
+    for call in (Design, lambda points: imspe(fam, points), lambda points: cross_correlation(fam, [0.3], points)):
+        with pytest.raises(InvalidDesignError, match="ragged"):
+            call([[0.1, 0.2], [0.3]])
+    assert imspe(fam, np.array([[1], [0]], dtype=np.uint8)).value == imspe(fam, [[1.0], [0.0]]).value
 
 
 def test_design_points_read_only():

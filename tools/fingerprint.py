@@ -33,7 +33,12 @@ Hashed, in order:
   2^d factorial and star designs (d in 2..5), grids of tied, 0.0 and -0.0
   coordinates and uniform draws (d in 1..6), then for d = 1 stacks of 1, 2
   and 7 designs and for stacks of 2 and 5 designs at d in {2, 3, 6}, each
-  mixing ties, signed zeros, mirror-symmetric designs and uniform draws;
+  mixing ties, signed zeros, mirror-symmetric designs and uniform draws,
+  then search-sized stacks of the same mix (32 designs at n = 8 with d = 2
+  and d = 1, 4 designs at n = 4, d = 2), and stacks of 2, 5 and 32 designs
+  at n = 4, d in {2, 3} that mix heads unique after a tie on the first axis,
+  heads with a zero coordinate, tied heads, repeated rows that are not the
+  head and uniform draws;
 - large designs, n in {32, 33, 64} and d in {1, 2, 6} per family, at one
   theta per axis and at one theta for all axes: Latin-hypercube points with
   one -0.0 coordinate and, for d >= 2, ties on the first axis; ``imspe()``'s
@@ -166,9 +171,9 @@ def _mirrored(rng, n, d=1):
     return rng.permutation(np.concatenate((half, -half, middle)))
 
 
-def _mixed_stack(rng, size, d=1, top=13):
-    # each design is tied, mirror-symmetric or uniform, at one n below top for the stack
-    n = int(rng.integers(1, top))
+def _mixed_stack(rng, size, d=1, top=13, n=None):
+    # each design is tied, mirror-symmetric or uniform, at one n (drawn below top unless given) for the stack
+    n = int(rng.integers(1, top)) if n is None else n
     draws = (
         lambda: _signed_ties(rng, (n, d)),
         lambda: _mirrored(rng, n, d),
@@ -226,6 +231,33 @@ def _canonical_designs(rng):
         for d in (2, 3, 6):
             for _ in range(4):
                 yield _mixed_stack(rng, size, d, top=10)
+    for size, n, d in ((32, 8, 2), (32, 8, 1), (4, 4, 2)):
+        for _ in range(2):
+            yield _mixed_stack(rng, size, d, n=n)
+    for size in (2, 5, 32):
+        for d in (2, 3):
+            for _ in range(2):
+                yield _branch_stack(rng, size, 4, d)
+
+
+def _branch_design(rng, n, d, branch):
+    # row 0 has the largest |x| on axis 0, so it or its tie is the head row
+    points = rng.uniform(-0.9, 0.9, size=(n, d))
+    points[0, 0] = rng.choice([-0.95, 0.95])
+    if branch == "first tie":  # rows 0 and 1 tie on axis 0 only: the head is unique
+        points[1, 0] = -points[0, 0]
+    elif branch == "zero":  # the head has a zero coordinate
+        points[0, 1 + rng.integers(d - 1)] = rng.choice([-0.0, 0.0])
+    elif branch == "tied head":  # row 1 mirrors the head on some axes
+        points[1] = points[0] * rng.choice([-1.0, 1.0], size=d)
+    elif branch == "repeat":  # two equal rows that are not the head
+        points[-1] = points[-2]
+    return rng.permutation(points)
+
+
+def _branch_stack(rng, size, n, d):
+    branches = ("first tie", "zero", "tied head", "repeat", "uniform")
+    return np.stack([_branch_design(rng, n, d, branches[rng.integers(5)]) for _ in range(size)])
 
 
 def _canonical_forms_of(digest, rng):
