@@ -110,10 +110,7 @@ def _parse_points(raw_points):
         except ValueError:
             raise InvalidDesignError(f"could not parse point {chunk!r}") from None
         points.append(coords)
-    widths = {len(p) for p in points}
-    if len(widths) != 1:
-        raise InvalidDesignError("every --points value must have the same number of coordinates")
-    return np.array(points, dtype=float)
+    return points
 
 
 def cmd_eval(args):

@@ -57,7 +57,9 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .errors import InvalidDesignError, SingularDesignError
 # pair_integral and single_integral are re-exported: bench/spans.py traces them here
 from .integrals import _DPAIR, _PAIR, _SINGLE, _dsingle, pair_integral, single_integral  # noqa: F401
-from .kernels import _DRHO, _check_finite, _correlations, _operands, _product, as_design, cross_correlation
+from .kernels import _DRHO, _as_points, _check_finite, _correlations, _cross_correlation, _operands, _product, as_design
+# cross_correlation is unused here but stays bound: bench/spans.py looks it up on this module to trace it
+from .kernels import cross_correlation  # noqa: F401
 
 _EPS = float(np.finfo(float).eps)
 
@@ -170,7 +172,7 @@ def _canonical_forms(stack):
 def build_correlation_matrix(family, design):
     """Symmetric n x n matrix of pairwise design correlations, unit diagonal; raises if an entry is not finite."""
     dsn = as_design(design)
-    R = cross_correlation(family, dsn.points, dsn.points)
+    R = _cross_correlation(family, dsn.points, dsn.points)
     _check_finite(family.kind, family.theta, R=R)
     return R
 
@@ -487,9 +489,9 @@ def imspe_value(family, design):
 def mspe_evaluator(family, design):
     """Build a callable x -> pointwise prediction variance, factorizing R once.
 
-    The callable accepts a scalar (d = 1), a flat array of d = 1 locations,
-    or an (m, d) array, returning a float or a length-m vector. Locations may
-    fall slightly outside the box, which quadrature rules need.
+    The callable takes a scalar (d = 1), a flat array of d = 1 locations or an
+    (m, d) array, read as ``Design`` reads points, and returns a float or a
+    length-m vector. Locations may fall slightly outside the box, for quadrature.
     """
     dsn = as_design(design)
     R = build_correlation_matrix(family, dsn)
@@ -504,11 +506,11 @@ def mspe_evaluator(family, design):
         raise errors[0]
 
     def profile(x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        if not np.isfinite(arr).all():
+        scalar = np.isscalar(x) or getattr(x, "ndim", None) == 0
+        locations = _as_points([x] if scalar else x)
+        if not np.isfinite(locations).all():
             raise InvalidDesignError("locations must be finite")
-        r = cross_correlation(family, dsn.points, arr.reshape(1, -1) if scalar else arr)
+        r = _cross_correlation(family, dsn.points, locations)
         _check_finite(family.kind, family.theta, r=r)
         solved = _solve(c, r)
         quad = np.einsum("ij,ij->j", r, solved)

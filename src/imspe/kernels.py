@@ -149,9 +149,12 @@ def rho(kind, theta, h):
     Returns
     -------
     float or ndarray
-        Correlation value(s) in [0, 1]: 1.0 at h = 0 and wherever the
-        kernel rounds to 1 (gaussian theta = 1 at h = 1e-9), and 0.0 once
-        it underflows (exponential theta = 1 at h = 1000).
+        The kernel's IEEE value(s), in [0, 1] where finite: 1.0 at h = 0 and
+        wherever the kernel rounds to 1 (gaussian theta = 1 at h = 1e-9), and
+        0.0 once it underflows (exponential theta = 1 at h = 1000). The
+        Matern kernels give NaN where 3 theta, 5 theta or the scaled offset
+        s h (for matern52, its square) overflows: both at theta = 1e308, and
+        matern52 at theta = 1, h = 1e154.
     """
     (checked,) = validate_args(kind, theta)
     return _RHO[kind](checked, np.abs(h))
@@ -250,9 +253,9 @@ def correlation(family, x, y):
 
     The one entry of ``cross_correlation`` for the two points. Accepts
     points slightly outside the unit box so quadrature abscissae can be
-    evaluated without ceremony. Returns a float in [0, 1]: 1.0 where
-    x == y coordinatewise and wherever the kernel rounds to 1, and 0.0 once
-    it underflows.
+    evaluated without ceremony. Returns the product of ``rho``'s IEEE
+    values: 1.0 where x == y coordinatewise and wherever the kernel rounds
+    to 1, 0.0 once it underflows, and NaN where a Matern kernel overflows.
     """
     return float(cross_correlation(family, [x], [y])[0, 0])
 
@@ -297,12 +300,16 @@ def cross_correlation(family, points, other):
     Returns
     -------
     ndarray, shape (n, m)
+        Products of ``rho``'s IEEE values over coordinates, NaN included.
     """
-    pts = _as_points(points)
-    oth = _as_points(other)
-    if pts.shape[1] != oth.shape[1]:
+    return _cross_correlation(family, _as_points(points), _as_points(other))
+
+
+def _cross_correlation(family, points, other):
+    """``cross_correlation`` of (n, d) and (m, d) point arrays already read by ``_as_points``."""
+    if points.shape[1] != other.shape[1]:
         raise InvalidDesignError("point sets must share a dimension")
-    return _product(_correlations(*_operands(family, pts, oth)))
+    return _product(_correlations(*_operands(family, points, other)))
 
 
 __all__ = [

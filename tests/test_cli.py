@@ -13,6 +13,7 @@ from jsonschema import validate as validate_schema
 import imspe
 from imspe import CovarianceFamily, imspe_value
 from imspe.cli import main
+from imspe.search import SearchResult
 
 
 def run_cli(argv, capsys):
@@ -128,6 +129,14 @@ class TestEval:
             capsys,
         )
         assert code == 2
+
+    def test_ragged_points_exit_usage_with_the_design_message(self, capsys):
+        code, out, err = run_cli(
+            ["eval", "--family", "gaussian", "--theta", "1", "--points", "0.1,0.2", "--points", "0.3"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: points must form an n x d array, not a ragged sequence\n"
 
 
 class TestIntegral:
@@ -277,6 +286,17 @@ class TestSearch:
 
 
 class TestReproduceTables:
+    def test_a_search_that_converges_nowhere_is_a_fail_row(self, capsys, monkeypatch):
+        monkeypatch.setattr("imspe.cli.multistart_search", lambda *args: SearchResult((), ()))
+        code, record, _ = run_json(["reproduce-tables", "--table", "1", "--quiet"], capsys)
+        assert code == 1
+        rows = record["outputs"]["rows"]
+        assert [(row["status"], row["converged"]) for row in rows] == [("FAIL", False)] * 3
+        computed = ("computed_design", "computed_imspe", "computed_imspe_hex", "max_coord_error", "rel_error")
+        assert all(row[key] is None for row in rows for key in computed)
+        assert record["outputs"]["overall"] == "FAIL"
+        validate_schema(instance=record, schema=load_schema())
+
     def test_table_one_passes(self, capsys):
         code, record, _ = run_json(
             ["reproduce-tables", "--table", "1", "--quiet"], capsys
@@ -310,6 +330,23 @@ class TestRecordFormats:
         expected = imspe_value(CovarianceFamily("gaussian", [1.0]), [0.2])
         assert float(table["outputs.imspe"]) == expected
         assert float.fromhex(table["outputs.imspe_hex"]) == expected
+
+    def test_csv_writes_bools_as_true_and_false(self, capsys):
+        code, out, _ = run_cli(["reproduce-tables", "--table", "1", "--quiet", "--format", "csv"], capsys)
+        assert code == 0
+        table = dict(list(csv.reader(io.StringIO(out)))[1:])
+        assert [table[f"outputs.rows[{i}].converged"] for i in range(3)] == ["true"] * 3
+
+    def test_csv_writes_none_as_an_empty_value(self, capsys):
+        code, out, _ = run_cli(
+            ["search", "--family", "matern32", "--theta", "1", "--n", "2",
+             "--starts", "3", "--max-iterations", "2", "--tol-opt", "1e-18", "--format", "csv"],
+            capsys,
+        )
+        assert code == 4
+        table = dict(list(csv.reader(io.StringIO(out)))[1:])
+        assert table["outputs.best_design"] == ""
+        assert table["outputs.best_imspe"] == ""
 
     def test_all_commands_validate_against_schema(self, capsys):
         schema = load_schema()

@@ -19,6 +19,7 @@ from imspe import (
     build_pair_matrix,
     build_single_vector,
     correlation,
+    cross_correlation,
     imspe,
     imspe_value,
     mspe_evaluator,
@@ -743,6 +744,46 @@ def test_mspe_profile_rejects_nonfinite_locations():
     profile = mspe_evaluator(CovarianceFamily("gaussian", [1.0]), [-0.5, 0.5])
     with pytest.raises(InvalidDesignError, match="locations must be finite"):
         profile(np.nan)
+    # locations are read as Design reads points: a bool is not read as 1.0,
+    # nor a string as the number it spells
+    for bad in (True, "0.5", 1j, [[None]]):
+        with pytest.raises(InvalidDesignError, match="^design coordinates must be real numbers, got dtype "):
+            profile(bad)
+    with pytest.raises(InvalidDesignError, match="ragged"):
+        profile([[0.1], [0.2, 0.3]])
+    with pytest.raises(InvalidDesignError, match="^point sets must share a dimension$"):
+        profile([[0.1, 0.2]])
+    # a scalar, a 0-d array and an int are one location; flat and (m, 1) arrays agree
+    grid = np.linspace(-1.0, 1.0, 5)
+    assert profile(1.0) == profile(np.array(1.0)) == profile(1) == profile(grid)[-1]
+    assert np.array_equal(profile(grid), profile(grid[:, None]))
+
+
+def test_each_input_is_read_once(monkeypatch):
+    # the point reader runs where each input enters, and the code below it
+    # takes the arrays it read
+    read, reads = kernels._as_points, []
+
+    def counted(points):
+        reads.append(points)
+        return read(points)
+
+    monkeypatch.setattr(kernels, "_as_points", counted)
+    monkeypatch.setattr(criterion, "_as_points", counted, raising=False)
+    fam = CovarianceFamily("matern32", [2.0, 0.5])
+    design = [[-0.5, 0.25], [0.5, -0.25], [0.0, 0.75]]
+    for call in (imspe, build_correlation_matrix, mspe_evaluator):
+        reads.clear()
+        call(fam, design)
+        assert len(reads) == 1 and reads[0] is design, call
+    profile = mspe_evaluator(fam, design)
+    locations = np.array([[0.1, 0.2], [0.3, -0.4]])
+    reads.clear()
+    profile(locations)
+    assert len(reads) == 1 and reads[0] is locations
+    reads.clear()
+    cross_correlation(fam, design, locations)
+    assert len(reads) == 2 and reads[0] is design and reads[1] is locations
 
 
 def test_nonfinite_single_average_is_caught(monkeypatch):

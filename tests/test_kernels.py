@@ -227,6 +227,22 @@ def test_kernel_entries_call_the_checker_once(monkeypatch):
         assert len(calls) == 1, entry
 
 
+def test_rho_returns_the_kernels_ieee_values_nan_included():
+    # the Matern kernels overflow to inf * 0 where 3 theta, 5 theta or the
+    # square of the scaled offset overflows; rho returns that NaN as it is
+    with np.errstate(all="ignore"):
+        assert math.isnan(rho("matern32", 1e308, 0.0))
+        assert math.isnan(rho("matern52", 1e308, 0.0))
+        assert math.isnan(rho("matern52", 1.0, 1e154))
+        assert rho("exponential", 1e308, 0.0) == 1.0
+        assert rho("gaussian", 1.0, 1e200) == 0.0
+
+
+def test_family_refuses_a_theta_that_is_not_flat():
+    with pytest.raises(InvalidHyperparameterError, match="^theta must be a scalar or a flat sequence$"):
+        CovarianceFamily("gaussian", [[1.0, 2.0]])
+
+
 def test_theta_broadcast_and_anisotropy_mismatch():
     fam = CovarianceFamily("gaussian", [2.0])
     assert np.array_equal(fam.theta_for_dimension(3), [2.0, 2.0, 2.0])
