@@ -36,10 +36,11 @@ run once for the whole batch, on (d, S, T) triangle stacks and, for the
 slopes and the adjoint, (d, S, n, n) stacks. One canonicaliser
 (``_canonical_forms``, its rule chosen by the batch's size) and one value
 step (``_priced``) serve the batch and ``imspe()``, its batch of one: each
-design keeps its own ``dpotrf`` factor, ``dpotrs`` solves and exact sum,
-which keeps LAPACK's bits and lets a singular design price as its own
-error, and the checks, dot products, traces and the scatter of the
-gradient back to each design's row order run on the stack.
+design keeps its own ``dpotrf`` factor, ``dpotrs`` solve on [1 | W] and
+exact sum, which keeps LAPACK's bits and lets a singular design price as
+its own error; the gradient solves [I | (R^{-1} W)'] on the factor
+``_priced`` returns. The checks, dot products, traces and the scatter of
+the gradient back to each design's row order run on the stack.
 """
 
 from __future__ import annotations
@@ -268,21 +269,19 @@ def _factor(R):
     return c
 
 
-def _screen(errors, denom, repeated):
-    """Mark each design of a stack that cannot be priced, unless it already has an error.
+def _singular(denom, repeated):
+    """The SingularDesignError of a design with a factor, or None.
 
     From its 1'R^{-1}1 ``denom`` and its repeated-point flag, in this order:
     a 1'R^{-1}1 that is not positive and finite, or a repeated point
     (0.0 == -0.0). Rounding can leave R a positive factor at a repeated
     point, but its value means nothing.
     """
-    for s, (positive, twice) in enumerate(zip(denom.tolist(), repeated.tolist())):
-        if errors[s] is not None:
-            continue
-        if not 0.0 < positive < math.inf:
-            errors[s] = SingularDesignError("correlation matrix is numerically singular (1'R^{-1}1 not positive)")
-        elif twice:
-            errors[s] = SingularDesignError("design has repeated points")
+    if not 0.0 < denom < math.inf:
+        return SingularDesignError("correlation matrix is numerically singular (1'R^{-1}1 not positive)")
+    if repeated:
+        return SingularDesignError("design has repeated points")
+    return None
 
 
 def _solve(c, b):
@@ -324,75 +323,63 @@ def imspe(family, design):
     """
     canonical, _, _, repeated = _canonical_forms(as_design(design).points[None])
     R, W, v = _assemble(family, canonical[0])[2:]
-    values, _, errors, _ = _priced(R[None], W[None], v[None], repeated)
+    values, _, errors, _, _ = _priced(R[None], W[None], v[None], repeated)
     if errors[0] is not None:
         raise errors[0]
     return ImspeEvaluation(value=float(values[0]), R=R, W=W, v=v)
 
 
-def _priced(R, W, v, repeated, adjoint=False):
-    """Values, rounding units and errors of a stack of designs, and the solves behind them.
+def _priced(R, W, v, repeated):
+    """Values, rounding units and errors of a stack of designs, the solves behind them and the factors.
 
     R and W are (S, n, n) stacks, v an (S, n) stack and ``repeated`` the
     (S,) flags of ``_canonical_forms``. Returns the (S,) values, the (S,)
     rounding units, a list of S entries holding None or the design's
-    SingularDesignError, and the solves; a singular design's value is +inf
-    and its unit 0.0. Each design gets one ``dpotrf`` factor, which keeps
-    LAPACK's bits, one ``dpotrs`` call on the columns [1 | W] of the stack
-    and one exact sum of its five terms; the checks, the dot products and
-    the trace run on the stack. With ``adjoint`` the columns are
-    [1 | W | I], which also gives R^{-1}, and a second call gives
-    R^{-1} W R^{-1}. The solves are u = R^{-1} 1, 1'u, u'W, u'v and u'Wu,
-    and with ``adjoint`` R^{-1} and R^{-1} W R^{-1}; a singular design has
-    zeros there (and 1.0 for 1'u). Every solution keeps the Fortran order
-    ``dpotrs`` gives it, since BLAS products of R^{-1} pick their
-    arithmetic by memory order.
+    SingularDesignError, the solves, and a list of S entries holding each
+    design's ``dpotrf`` factor, or None where it has none; a singular
+    design's value is +inf and its unit 0.0. Each design gets one
+    ``dpotrf`` factor, which keeps LAPACK's bits, one ``dpotrs`` call on
+    the columns [1 | W] of the stack, the ``_singular`` rule and one exact
+    sum of its five terms; the dot products and the trace run on the
+    stack. The solves are u = R^{-1} 1, 1'u, u'W, u'v, u'Wu and
+    (R^{-1} W)'; a singular design has zeros there (and 1.0 for 1'u).
     """
     size, n = v.shape
     # design s's solution of column k is solved[s, k], zeros where s has no factor
-    columns = np.empty((size, 2 * n + 1 if adjoint else n + 1, n))
+    columns = np.empty((size, n + 1, n))
     columns[:, 0] = 1.0
-    columns[:, 1:n + 1] = W.transpose(0, 2, 1)
-    if adjoint:
-        columns[:, n + 1:] = np.eye(n)
-        RiWRi = np.empty((size, n, n))
+    columns[:, 1:] = W.transpose(0, 2, 1)
     solved = np.zeros_like(columns)
-    errors = [None] * size
+    errors, cholesky = [None] * size, [None] * size
     for s in range(size):
         try:
-            c = _factor(R[s])
+            cholesky[s] = _factor(R[s])
         except SingularDesignError as exc:
             errors[s] = exc
             continue
-        x = _solve(c, columns[s].T)
-        solved[s] = x.T
-        if adjoint:
-            RiWRi[s] = _solve(c, x[:, 1:n + 1].T)
+        solved[s] = _solve(cholesky[s], columns[s].T).T
     u = solved[:, 0]
     denom = (u[:, None, :] @ columns[:, :1].transpose(0, 2, 1))[:, 0, 0]
-    _screen(errors, denom, repeated)
+    for s, (ones_u, twice) in enumerate(zip(denom.tolist(), repeated.tolist())):
+        if cholesky[s] is not None:
+            errors[s] = _singular(ones_u, twice)
     singular = [s for s, error in enumerate(errors) if error is not None]
     if singular:
         solved[singular] = 0.0
         denom[singular] = 1.0
-        if adjoint:
-            RiWRi[singular] = 0.0
     row = u[:, None, :]
     uW = (row @ W)[:, 0]
     lin = (row @ v[:, :, None])[:, 0, 0]
     quad = (uW[:, None, :] @ u[:, :, None])[:, 0, 0]
     values, units = np.full(size, math.inf), np.zeros(size)
-    traces = solved[:, 1:n + 1].trace(axis1=1, axis2=2)
+    traces = solved[:, 1:].trace(axis1=1, axis2=2)
     sums = zip(traces.tolist(), denom.tolist(), lin.tolist(), quad.tolist())
     for s, (trace, ones_u, v_u, uWu) in enumerate(sums):
         if errors[s] is None:
             terms = (1.0, -trace, 1.0 / ones_u, -2.0 * v_u / ones_u, uWu / ones_u)
             # exact summation keeps the n = 1 identity value == 2 - 2 v[0] bit-exact
             values[s], units[s] = math.fsum(terms), _EPS * math.fsum(map(abs, terms))
-    solves = u, denom, uW, lin, quad
-    if adjoint:
-        solves += solved[:, n + 1:].transpose(0, 2, 1), RiWRi
-    return values, units, errors, solves
+    return values, units, errors, (u, denom, uW, lin, quad, solved[:, 1:]), cholesky
 
 
 def _leave_one_out(stack):
@@ -425,7 +412,7 @@ def _values_and_gradients(family, stack):
     Returns (S,) values, (S, n, d) gradients, (S,) rounding units and a
     list of S errors: entry s of the list is None, or the
     SingularDesignError that makes design s singular, whose row then holds
-    +inf, a 0.0 unit and a zero gradient (``_priced`` zeroes its solves).
+    +inf, a 0.0 unit and a zero gradient (its solves are zeros).
     A singular design leaves the others' bits alone. The value is
     ``imspe(family, stack[s]).value`` bit for bit: the same canonical
     points, axis factors, products, factor and exact sum.
@@ -449,15 +436,24 @@ def _values_and_gradients(family, stack):
     slopes of the exponential kernel. Rows and signs are mapped back through
     the canonicalization.
 
-    Everything runs once on the whole stack but what ``_priced`` keeps per
-    design: the factor, its solves and the exact sums. So every design
-    keeps the bits it has on its own. The canonical forms and repeated-point
-    flags come from ``_canonical_forms``, as for ``imspe()``.
+    Everything runs once on the whole stack but what is kept per design:
+    the factor ``_priced`` returns, the solves on it (here R^{-1} and
+    R^{-1} W R^{-1}, from one ``dpotrs`` call on [I | (R^{-1} W)']) and the
+    exact sums. So every design keeps the bits it has on its own. The
+    canonical forms and repeated-point flags come from ``_canonical_forms``.
     """
     size, n, _ = stack.shape
     canonical, order, signs, repeated = _canonical_forms(stack)
     (kind, theta, col, row), factors, R, W, v = _assemble(family, canonical)
-    values, units, errors, (u, denom, uW, lin, quad, Rinv, RiWRi) = _priced(R, W, v, repeated, adjoint=True)
+    values, units, errors, (u, denom, uW, lin, quad, RiWt), cholesky = _priced(R, W, v, repeated)
+    # design s's solution of column k of [I | (R^{-1} W)'] is solved[s, k], zeros where s is singular; R^{-1}
+    # keeps the Fortran order dpotrs gives it, since BLAS products of R^{-1} pick their arithmetic by memory order
+    columns = np.concatenate((np.broadcast_to(np.eye(n), (size, n, n)), RiWt.transpose(0, 2, 1)), axis=1)
+    solved = np.zeros_like(columns)
+    for s, (c, error) in enumerate(zip(cholesky, errors)):
+        if error is None:
+            solved[s] = _solve(c, columns[s].T).T
+    Rinv, RiWRi = solved[:, :n].transpose(0, 2, 1), solved[:, n:].transpose(0, 2, 1)
     z = (Rinv @ (uW - v)[:, :, None])[:, :, 0]
     numerator = 1.0 - 2.0 * lin + quad
     denom = denom[:, None, None]
@@ -499,11 +495,10 @@ def mspe_evaluator(family, design):
     ones = np.ones(len(R))
     u = _solve(c, ones)
     denom = float(u @ ones)
-    errors = [None]
     # not canonicalised: the profile is not reflection-invariant
-    _screen(errors, np.array([denom]), _repeats(_sort_rows(dsn.points)[0][None]))
-    if errors[0] is not None:
-        raise errors[0]
+    error = _singular(denom, _repeats(_sort_rows(dsn.points)[0][None])[0])
+    if error is not None:
+        raise error
 
     def profile(x):
         scalar = np.isscalar(x) or getattr(x, "ndim", None) == 0

@@ -138,6 +138,14 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == "error: points must form an n x d array, not a ragged sequence\n"
 
+    def test_unparsable_point_exit_usage(self, capsys):
+        code, out, err = run_cli(
+            ["eval", "--family", "gaussian", "--theta", "1", "--points", "0.1,abc"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: could not parse point '0.1,abc'\n"
+
 
 class TestIntegral:
     def test_single_value_matches_frozen_oracle(self, capsys):
@@ -194,6 +202,16 @@ class TestIntegral:
         assert code == 2
         assert out == ""
         assert "matern32" in err and "1e+308" in err
+
+    def test_diverging_oracle_exit_usage(self, capsys):
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                ["integral", "--family", "gaussian", "--theta", "1e308", "--a", "0.1", "--b", "0.1",
+                 "--method", "quadrature"],
+                capsys,
+            )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: quadrature oracle diverged:")
 
     def test_anchor_outside_box_exit_usage(self, capsys):
         for anchor in (["--a", "1.2"], ["--a", "nan", "--method", "quadrature"]):

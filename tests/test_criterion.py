@@ -717,6 +717,21 @@ def test_repeated_points_raise_even_where_the_factor_succeeds():
     assert values[1] == imspe_value(fam, distinct)
 
 
+def test_a_nonfinite_last_pivot_is_singular():
+    with pytest.raises(SingularDesignError, match="^correlation matrix factorization produced non-finite entries$"):
+        criterion._factor(np.array([[np.nan]]))
+
+
+def test_the_singular_rule_of_one_design():
+    not_positive = "correlation matrix is numerically singular (1'R^{-1}1 not positive)"
+    for denom in (0.0, -1.0, math.inf, math.nan):
+        for repeated in (False, True):
+            assert str(criterion._singular(denom, repeated)) == not_positive
+    for denom in (1e-300, 1.0, 1e300):
+        assert str(criterion._singular(denom, True)) == "design has repeated points"
+        assert criterion._singular(denom, False) is None
+
+
 @pytest.mark.parametrize("kind, theta", [("matern52", 1e200), ("matern32", 1e308)])
 def test_huge_theta_raises_invalid_hyperparameter(kind, theta):
     # inf * 0 in the kernel and its averages makes W (and at 1e308 R) nan

@@ -202,6 +202,10 @@ class TestBesselCoefficients:
         )
         assert bessel_polynomial_coefficients(degree) == expected
 
+    def test_negative_degree_raises(self):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            bessel_polynomial_coefficients(-1)
+
 
 class TestSymmetrizePlus:
     def test_worked_affine_example_is_exactly_two(self):

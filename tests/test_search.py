@@ -8,6 +8,7 @@ import pytest
 from imspe import criterion, search
 from imspe.search import STOP_REASONS
 from imspe import (
+    FAMILY_KINDS,
     CovarianceFamily,
     Design,
     InvalidHyperparameterError,
@@ -82,6 +83,22 @@ def test_fd_gradient_one_sided_at_bounds():
     slope_lo = (value_with(0, -1.0 + 1e-7) - value_with(0, -1.0)) / 1e-7
     assert g[2] == pytest.approx(slope_hi, abs=1e-4)
     assert g[0] == pytest.approx(slope_lo, abs=1e-4)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_fd_gradient_prices_a_repeating_neighbour_as_inf(kind):
+    # x0 + h lands on x1 and x1 - h on x0: each stencil meets a repeated point
+    g = fd_gradient(CovarianceFamily(kind, 2.0), [0.0, 1e-6])
+    assert g.tolist() == [math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_fd_gradient_one_sided_stencils_mirror_bit_for_bit(kind):
+    # the first coordinate sits on a bound, so each stencil prices f0 first
+    fam = CovarianceFamily(kind, 2.0)
+    upper, lower = fd_gradient(fam, [1.0, 0.2]), fd_gradient(fam, [-1.0, -0.2])
+    assert np.all(np.isfinite(upper))
+    assert upper.tobytes() == (-lower).tobytes()
 
 
 def test_gradient_nearly_zero_at_reference_optimum():
