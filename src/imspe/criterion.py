@@ -35,12 +35,16 @@ form, each slope, the products over axes and the adjoint's contractions
 run once for the whole batch, on (d, S, T) triangle stacks and, for the
 slopes and the adjoint, (d, S, n, n) stacks. One canonicaliser
 (``_canonical_forms``, its rule chosen by the batch's size) and one value
-step (``_priced``) serve the batch and ``imspe()``, its batch of one: each
-design keeps its own ``dpotrf`` factor, ``dpotrs`` solve on [1 | W] and
-exact sum, which keeps LAPACK's bits and lets a singular design price as
-its own error; the gradient solves [I | (R^{-1} W)'] on the factor
-``_priced`` returns. The checks, dot products, traces and the scatter of
-the gradient back to each design's row order run on the stack.
+step (``_priced``) serve the batch and ``imspe()``, its batch of one. Per
+design only this runs: one ``dpotrf`` factor with its info and last-pivot
+check, one ``dpotrs`` call that solves [1 | W] in place, the
+``_singular`` comparison on its 1'u, the two exact sums of its five terms
+and, for the gradient, one more ``dpotrs`` call that solves
+[I | (R^{-1} W)'] in place on the same factor. That keeps LAPACK's bits,
+and an error is built only for a design that is singular, which prices as
+that error alone. The dot products, traces, the adjoint, the slopes (the
+gaussian's through the value's filled pair factors) and the scatter of the
+gradient back to each design's row order run on the stack.
 """
 
 from __future__ import annotations
@@ -248,6 +252,26 @@ def build_single_vector(family, design):
     return _product(_SINGLE[kind](theta, col)[..., 0])
 
 
+def _illegal(routine, info):
+    """The ValueError of a LAPACK routine that reported an illegal value in argument -info."""
+    return ValueError(f"{routine} reported an illegal value in argument {-info}")
+
+
+def _unfactored(info):
+    """The SingularDesignError of a ``dpotrf`` factor that failed with ``info``, 0 for a bad last pivot.
+
+    Raises ValueError on an illegal argument (info < 0).
+    """
+    if info < 0:
+        raise _illegal("dpotrf", info)
+    if info:
+        return SingularDesignError(
+            "correlation matrix is not positive definite: "
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return SingularDesignError("correlation matrix factorization produced non-finite entries")
+
+
 def _factor(R):
     """Lower Cholesky factor c of a finite R by LAPACK ``dpotrf``, or SingularDesignError.
 
@@ -257,15 +281,8 @@ def _factor(R):
     vouches for the whole factor. The upper triangle of c is R's own.
     """
     c, info = dpotrf(R, lower=1, clean=0)
-    if info > 0:
-        raise SingularDesignError(
-            "correlation matrix is not positive definite: "
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    if info < 0:
-        raise ValueError(f"dpotrf reported an illegal value in argument {-info}")
-    if not 0.0 < c[-1, -1] < math.inf:
-        raise SingularDesignError("correlation matrix factorization produced non-finite entries")
+    if info or not 0.0 < c[-1, -1] < math.inf:
+        raise _unfactored(info)
     return c
 
 
@@ -287,8 +304,8 @@ def _singular(denom, repeated):
 def _solve(c, b):
     """R^{-1} b from the factor c of ``_factor``; b is a vector or a matrix of columns."""
     x, info = dpotrs(c, b, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs reported an illegal value in argument {-info}")
+    if info:
+        raise _illegal("dpotrs", info)
     return x
 
 
@@ -336,37 +353,43 @@ def _priced(R, W, v, repeated):
     (S,) flags of ``_canonical_forms``. Returns the (S,) values, the (S,)
     rounding units, a list of S entries holding None or the design's
     SingularDesignError, the solves, and a list of S entries holding each
-    design's ``dpotrf`` factor, or None where it has none; a singular
-    design's value is +inf and its unit 0.0. Each design gets one
-    ``dpotrf`` factor, which keeps LAPACK's bits, one ``dpotrs`` call on
-    the columns [1 | W] of the stack, the ``_singular`` rule and one exact
-    sum of its five terms; the dot products and the trace run on the
-    stack. The solves are u = R^{-1} 1, 1'u, u'W, u'v, u'Wu and
-    (R^{-1} W)'; a singular design has zeros there (and 1.0 for 1'u).
+    priced design's ``dpotrf`` factor, or None where it is singular; a
+    singular design's value is +inf and its unit 0.0. Per design only LAPACK
+    and the exact sums run: one ``dpotrf`` factor, which keeps LAPACK's
+    bits, one ``dpotrs`` call that solves its columns [1 | W] in place, the
+    ``_singular`` rule on its 1'u and the two exact sums of its five terms;
+    the dot products and the trace run on the stack. The solves are
+    u = R^{-1} 1, 1'u, u'W, u'v, u'Wu and (R^{-1} W)'; a singular design has
+    zeros there (and 1.0 for 1'u).
     """
     size, n = v.shape
-    # design s's solution of column k is solved[s, k], zeros where s has no factor
-    columns = np.empty((size, n + 1, n))
-    columns[:, 0] = 1.0
-    columns[:, 1:] = W.transpose(0, 2, 1)
-    solved = np.zeros_like(columns)
-    errors, cholesky = [None] * size, [None] * size
-    for s in range(size):
-        try:
-            cholesky[s] = _factor(R[s])
-        except SingularDesignError as exc:
-            errors[s] = exc
+    # design s's solution of column k of [1 | W] is solved[s, k], zeros where s is singular
+    solved = np.empty((size, n + 1, n))
+    solved[:, 0] = 1.0
+    solved[:, 1:] = W.transpose(0, 2, 1)
+    errors, factors = [None] * size, [None] * size
+    # the flags go by position (dpotrf: lower=1, clean=0; dpotrs: lower=1, overwrite_b=1), as parsing
+    # keywords costs more than the LAPACK work on a small design
+    for s, (block, columns) in enumerate(zip(R, solved.transpose(0, 2, 1))):
+        c, info = dpotrf(block, 1, 0)
+        if info or not 0.0 < c[-1, -1] < math.inf:
+            errors[s] = _unfactored(info)
             continue
-        solved[s] = _solve(cholesky[s], columns[s].T).T
+        info = dpotrs(c, columns, 1, 1)[1]
+        if info:
+            raise _illegal("dpotrs", info)
+        factors[s] = c
     u = solved[:, 0]
-    denom = (u[:, None, :] @ columns[:, :1].transpose(0, 2, 1))[:, 0, 0]
+    denom = (u[:, None, :] @ np.ones((n, 1)))[:, 0, 0]
     for s, (ones_u, twice) in enumerate(zip(denom.tolist(), repeated.tolist())):
-        if cholesky[s] is not None:
+        if factors[s] is not None:
             errors[s] = _singular(ones_u, twice)
     singular = [s for s, error in enumerate(errors) if error is not None]
     if singular:
         solved[singular] = 0.0
         denom[singular] = 1.0
+        for s in singular:
+            factors[s] = None
     row = u[:, None, :]
     uW = (row @ W)[:, 0]
     lin = (row @ v[:, :, None])[:, 0, 0]
@@ -375,11 +398,11 @@ def _priced(R, W, v, repeated):
     traces = solved[:, 1:].trace(axis1=1, axis2=2)
     sums = zip(traces.tolist(), denom.tolist(), lin.tolist(), quad.tolist())
     for s, (trace, ones_u, v_u, uWu) in enumerate(sums):
-        if errors[s] is None:
+        if factors[s] is not None:
             terms = (1.0, -trace, 1.0 / ones_u, -2.0 * v_u / ones_u, uWu / ones_u)
             # exact summation keeps the n = 1 identity value == 2 - 2 v[0] bit-exact
             values[s], units[s] = math.fsum(terms), _EPS * math.fsum(map(abs, terms))
-    return values, units, errors, (u, denom, uW, lin, quad, solved[:, 1:]), cholesky
+    return values, units, errors, (u, denom, uW, lin, quad, solved[:, 1:]), factors
 
 
 def _leave_one_out(stack):
@@ -438,9 +461,10 @@ def _values_and_gradients(family, stack):
 
     Everything runs once on the whole stack but what is kept per design:
     the factor ``_priced`` returns, the solves on it (here R^{-1} and
-    R^{-1} W R^{-1}, from one ``dpotrs`` call on [I | (R^{-1} W)']) and the
-    exact sums. So every design keeps the bits it has on its own. The
-    canonical forms and repeated-point flags come from ``_canonical_forms``.
+    R^{-1} W R^{-1}, from one ``dpotrs`` call that solves the columns
+    [I | (R^{-1} W)'] in place) and the exact sums. So every design keeps
+    the bits it has on its own. The canonical forms and repeated-point flags
+    come from ``_canonical_forms``.
     """
     size, n, _ = stack.shape
     canonical, order, signs, repeated = _canonical_forms(stack)
@@ -448,11 +472,16 @@ def _values_and_gradients(family, stack):
     values, units, errors, (u, denom, uW, lin, quad, RiWt), cholesky = _priced(R, W, v, repeated)
     # design s's solution of column k of [I | (R^{-1} W)'] is solved[s, k], zeros where s is singular; R^{-1}
     # keeps the Fortran order dpotrs gives it, since BLAS products of R^{-1} pick their arithmetic by memory order
-    columns = np.concatenate((np.broadcast_to(np.eye(n), (size, n, n)), RiWt.transpose(0, 2, 1)), axis=1)
-    solved = np.zeros_like(columns)
-    for s, (c, error) in enumerate(zip(cholesky, errors)):
-        if error is None:
-            solved[s] = _solve(c, columns[s].T).T
+    solved = np.empty((size, 2 * n, n))
+    solved[:, :n] = np.eye(n)
+    solved[:, n:] = RiWt.transpose(0, 2, 1)
+    for s, (c, columns) in enumerate(zip(cholesky, solved.transpose(0, 2, 1))):
+        if c is None:
+            solved[s] = 0.0
+            continue
+        info = dpotrs(c, columns, 1, 1)[1]  # lower=1, overwrite_b=1, as in _priced
+        if info:
+            raise _illegal("dpotrs", info)
     Rinv, RiWRi = solved[:, :n].transpose(0, 2, 1), solved[:, n:].transpose(0, 2, 1)
     z = (Rinv @ (uW - v)[:, :, None])[:, :, 0]
     numerator = 1.0 - 2.0 * lin + quad
@@ -460,14 +489,18 @@ def _values_and_gradients(family, stack):
     uu = u[:, :, None] * u[:, None, :] / denom
     dW = uu - Rinv
     dv = -2.0 * u / denom[:, 0]
-    zu = z[:, :, None] * u[:, None, :] + u[:, :, None] * z[:, None, :]
+    # z u' + u z' is zu' plus its transpose: a product of two floats does not depend on their order
+    zu = z[:, :, None] * u[:, None, :]
+    zu = zu + zu.transpose(0, 2, 1)
     dR = RiWRi - zu / denom + numerator[:, None, None] * uu / denom
     gap = col - row
     sR = _DRHO[kind](theta, np.abs(gap)) * np.sign(gap)
-    sW = _DPAIR[kind](theta, col, row)
+    pair = _filled(factors[1], n)
+    sW = _DPAIR[kind](theta, col, row, pair)
     sv = _dsingle(kind, theta, col)[..., 0]
-    R_rest, W_rest, v_rest = map(_leave_one_out, factors)
-    R_rest, W_rest = _filled(R_rest, n), _filled(W_rest, n)
+    # the products of the other axes' factors: R's on the triangle, then filled; W's on the filled pair factors
+    R_rest, W_rest = _filled(_leave_one_out(factors[0]), n), _leave_one_out(pair)
+    v_rest = _leave_one_out(factors[2])
     # R and W are symmetric, so row i and column i contribute alike
     rows = (dR * sR * R_rest).sum(axis=-1) + (dW * sW * W_rest).sum(axis=-1)
     grad = 2.0 * rows + dv * sv * v_rest

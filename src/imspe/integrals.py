@@ -178,11 +178,13 @@ _PAIR = {
 
 
 # d/da of the pair averages: the gradient of the criterion in a design
-# coordinate. The exponential and Matern stationary parts differentiate to
+# coordinate. Each takes the pair average P(a, b) on the same anchors too,
+# which the value has already computed: the gaussian slope is written
+# through it. The exponential and Matern stationary parts differentiate to
 # (a - b) times the next lower reversed Bessel row, so no |b - a| kink
 # survives; the boundary parts are written in p = 1 + a, q = 1 + b and
 # mirrored through (a, b) -> (-a, -b)
-def _dpair_exponential(theta, a, b):
+def _dpair_exponential(theta, a, b, pair):
     """d/da of the exponential pair average, with S = a + b:
 
         -(theta / 2) (a - b) e^{-theta |b - a|}
@@ -193,8 +195,8 @@ def _dpair_exponential(theta, a, b):
     return stationary + 0.25 * (np.exp(-theta * (2.0 + ssum)) - np.exp(-theta * (2.0 - ssum)))
 
 
-def _dpair_gaussian(theta, a, b):
-    """d/da of the gaussian pair average P(a, b):
+def _dpair_gaussian(theta, a, b, pair):
+    """d/da of the gaussian pair average P(a, b), given as ``pair``:
 
         -theta (a - b) P(a, b)
             + (e^{-theta ((1 + a)^2 + (1 + b)^2)} - e^{-theta ((1 - a)^2 + (1 - b)^2)}) / 4
@@ -203,10 +205,10 @@ def _dpair_gaussian(theta, a, b):
         return np.exp(-theta * (p * p + q * q))
 
     edges = boundary(1.0 + a, 1.0 + b) - boundary(1.0 - a, 1.0 - b)
-    return -theta * (a - b) * _pair_gaussian(theta, a, b) + 0.25 * edges
+    return -theta * (a - b) * pair + 0.25 * edges
 
 
-def _dpair_matern32(theta, a, b):
+def _dpair_matern32(theta, a, b, pair):
     """d/da of the nu = 3/2 Matern pair average, with u = sqrt(3 theta), t = |b - a| u:
 
         ( -2 u (a - b) (3 + 3 t + t^2) e^{-t} + 3 (A(1 + a, 1 + b) - A(1 - a, 1 - b)) ) / 24
@@ -223,7 +225,7 @@ def _dpair_matern32(theta, a, b):
     return (stationary + 3.0 * (boundary(1.0 + a, 1.0 + b) - boundary(1.0 - a, 1.0 - b))) / 24.0
 
 
-def _dpair_matern52(theta, a, b):
+def _dpair_matern52(theta, a, b, pair):
     """d/da of the nu = 5/2 Matern pair average, with s = sqrt(5 theta), t = |b - a| s:
 
         ( -2 s (a - b) (105 + 105 t + 45 t^2 + 10 t^3 + t^4) e^{-t}

@@ -8,12 +8,14 @@ Cholesky factor (the adjoint in ``criterion._values_and_gradients``);
 against.
 
 The starts run in lockstep, in one driver (``_descend``) that keeps every
-start's iterate, value, gradient, quasi-Newton matrix and line-search trial
-as rows of (S, ...) arrays and makes each decision with masks over them.
-Each round it prices the pending trial of every live start with one
-criterion call on their stack, so a multistart makes as many calls as its
-longest start makes evaluations. ``local_search`` is the same driver with
-one start, and a start's outcome has the same bits either way. A start
+running start's iterate, value, gradient, quasi-Newton matrix and
+line-search trial as rows of compact arrays; a start's row goes once it
+stops. Each round prices the trial of every row with one criterion call on
+their stack, so a multistart makes as many calls as its longest start
+makes evaluations. The round's decisions (accept, halve, stall, stop) are
+masks over those rows, and the top of an iteration gathers the rows it
+serves once and scatters back once. ``local_search`` is the same driver
+with one start, and a start's outcome has the same bits either way. A start
 converges when the projected gradient (gradient with outward components
 zeroed on active bounds) has infinity norm at or below the optimality
 tolerance. Converged optima are deduplicated by clustering their
@@ -179,19 +181,26 @@ def fd_gradient(family, design):
     return grad
 
 
+def _bounds(x):
+    """Clip bounds (low, high) of the projected gradient at points x.
+
+    0.0 and +inf where a coordinate is on its upper bound, -inf and 0.0
+    where it is on its lower bound, -inf and +inf elsewhere: the projected
+    gradient is ``np.minimum(np.maximum(g, low), high)``.
+    """
+    return (np.where(x >= 1.0 - _FEASIBILITY_TOL, 0.0, -np.inf),
+            np.where(x <= -1.0 + _FEASIBILITY_TOL, 0.0, np.inf))
+
+
 def projected_gradient(x, g):
-    """Gradient with outward components dropped on active bounds.
+    """Gradient with outward components dropped on active bounds, as a new array.
 
     On the lower bound only negative components survive; on the upper bound
     only positive ones. Its infinity norm is the stationarity measure for the
     box-constrained problem.
     """
-    pg = np.array(g, dtype=float, copy=True)
-    lower = x <= -1.0 + _FEASIBILITY_TOL
-    upper = x >= 1.0 - _FEASIBILITY_TOL
-    pg[lower] = np.minimum(pg[lower], 0.0)
-    pg[upper] = np.maximum(pg[upper], 0.0)
-    return pg
+    low, high = _bounds(np.asarray(x))
+    return np.minimum(np.maximum(g, low), high)
 
 
 def local_search(family, start, config=DEFAULT_CONFIG):
@@ -222,135 +231,134 @@ def _dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+# a line search has spent its cap of trials once its scale, halved exactly from 1.0, gets here
+_EXHAUSTED = 0.5**_LINESEARCH_CAP
+# a stopped start's reason, as its index in STOP_REASONS
+_GRAD_TOL, _STALL, _MAX_ITERATIONS, _NONFINITE = (
+    STOP_REASONS.index(reason) for reason in ("grad_tol", "linesearch_stall", "max_iterations", "nonfinite_gradient"))
+
+
 def _descend(family, starts, config):
     """The descents from every (n, d) start of an (S, n, d) stack, in lockstep.
 
     Returns each start's LocalSearchResult, or the SingularDesignError of a
-    singular start, in start order. Every start's iterate, value, gradient,
-    rounding unit, quasi-Newton matrix (with a flag for the identity),
-    iteration count, gradient norm, direction, step scale and trial point is
-    a row of an (S, ...) array; the step (trial - x), its slope g's and the
-    trial count (the scale's exact halvings from 1.0) derive from them, as x
-    and g change only on acceptance. Masks make each decision for all
-    starts at once. Each round prices the pending trial of every live start
-    in one ``_values_and_gradients`` call on their stack, so a multistart
-    makes as many calls as its longest start makes evaluations. Its value,
-    gradient and unit arrays are read as they are (a singular trial prices
-    as +inf, which no test accepts), and the first call's errors name the
-    singular starts. Between two rounds a start moves on until it has a
-    trial to price or stops:
+    singular start, in start order. Every running start is one row of the
+    state: its iterate, value, gradient, rounding unit, quasi-Newton matrix
+    (with a flag for the identity), iteration count, gradient norm,
+    direction, step scale and trial point; the step (trial - x) and its
+    slope g's derive from them, as x and g change only on acceptance. A
+    start's row goes once it stops, so each round prices the trial of every
+    row in one ``_values_and_gradients`` call, and a multistart makes as
+    many calls as its longest start makes evaluations. Its value, gradient
+    and unit arrays are read as they are (a singular trial prices as +inf,
+    which no test accepts), and the first call's errors name the singular
+    starts. Masks over the rows make each decision; the top of an iteration
+    gathers the rows it serves once and scatters back once. Between two
+    rounds a start moves on until it has a trial to price or stops:
 
-    - at the top of an iteration it stops on a non-finite gradient, on the
-      optimality tolerance or on the iteration cap; otherwise it counts an
-      iteration and takes the quasi-Newton direction, or steepest descent
-      when it has no model or the model's direction is not downhill;
-    - a trial is the step clipped to the box; a zero step stalls unpriced;
+    - at the top of an iteration it stops on the optimality tolerance or on
+      the iteration cap; otherwise it counts an iteration and takes the
+      quasi-Newton direction, or steepest descent when it has no model or
+      the model's direction is not downhill;
+    - a trial is the step clipped to the box; a zero step stalls unpriced,
+      as does a line search that has spent its cap of trials;
     - a priced trial passes on Armijo decrease, or, where f moved within
       its rounding, on the approximate Wolfe conditions; a rejected trial
-      stalls once g's is within the rounding or after the cap of trials,
-      and halves the step otherwise;
+      stalls once g's is within the rounding and halves the step otherwise;
+    - a start stops as soon as its gradient is not finite, at its start or
+      on acceptance;
     - a stall with a model drops the model and retries the iterate from
       steepest descent; without one the start stops.
     """
     size, n, d = starts.shape
     m = n * d
-    x = starts.reshape(size, m).copy()
     f, g, unit, errors = _values_and_gradients(family, starts)
-    g = g.reshape(size, m)
-    stops = [None] * size
-    H = np.zeros((size, m, m))
-    has_model = np.zeros(size, dtype=bool)
-    iterations = np.zeros(size, dtype=int)
-    grad_norm = np.zeros(size)
-    direction = np.zeros((size, m))
-    scale = np.ones(size)
-    trial = np.zeros((size, m))
-
-    def stop(indices, reason):
-        for i in indices:
-            stops[i] = reason
-
-    nothing = np.zeros(0, dtype=int)
-    begin, propose, stall = np.flatnonzero([error is None for error in errors]), nothing, nothing
+    outcomes = list(errors)
+    ids = np.flatnonzero([error is None for error in errors])
+    x, f, g, unit = starts.reshape(size, m)[ids], f[ids], g.reshape(size, m)[ids], unit[ids]
+    rows = len(ids)
+    H = np.zeros((rows, m, m))
+    has_model = np.zeros(rows, dtype=bool)
+    iterations = np.zeros(rows, dtype=int)
+    grad_norm = np.zeros(rows)
+    direction = np.zeros((rows, m))
+    scale = np.ones(rows)
+    stopped = np.full(rows, -1)  # the stop reason's index, once a start stops
+    begin = np.isfinite(g).all(axis=1)
+    stopped[~begin], grad_norm[~begin] = _NONFINITE, math.inf
+    propose, stall = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
     while True:
-        pending = []
-        while begin.size or propose.size or stall.size:
-            if stall.size:  # retry from steepest descent, or stop
-                retry = stall[has_model[stall]]
-                stop(stall[~has_model[stall]], "linesearch_stall")
-                has_model[retry] = False
-                begin, stall = np.concatenate((begin, retry)), nothing
-            if begin.size:  # the top of an iteration
-                finite = np.isfinite(g[begin]).all(axis=1)
-                stop(begin[~finite], "nonfinite_gradient")
-                grad_norm[begin[~finite]] = math.inf
-                begin = begin[finite]
-                pg = projected_gradient(x[begin], g[begin])
-                grad_norm[begin] = np.abs(pg).max(axis=1)
-                converged = grad_norm[begin] <= config.optimality_tol
-                capped = ~converged & (iterations[begin] == config.max_iterations)
-                stop(begin[converged], "grad_tol")
-                stop(begin[capped], "max_iterations")
-                go = ~(converged | capped)
-                begin, pg = begin[go], pg[go]
-                iterations[begin] += 1
-                modelled = has_model[begin]
-                if modelled.any():
-                    at = begin[modelled]
-                    newton = -projected_gradient(x[at], (H[at] @ g[at][:, :, None])[:, :, 0])
-                    # quasi-Newton model broke down; restart from steepest descent
-                    broken = (_dot(newton, g[at]) >= 0.0) | ~newton.any(axis=1)
-                    has_model[at[broken]] = False
-                    direction[at[~broken]] = newton[~broken]
-                steepest = ~has_model[begin]
-                direction[begin[steepest]] = -pg[steepest]
-                scale[begin] = 1.0
-                propose, begin = np.concatenate((propose, begin)), nothing
-            if propose.size:  # the next trial of each line search
-                exhausted = scale[propose] == 0.5**_LINESEARCH_CAP
-                stall, propose = propose[exhausted], propose[~exhausted]
-                origin = x[propose]
-                candidate = np.minimum(np.maximum(origin + scale[propose, None] * direction[propose], -1.0), 1.0)
-                zero = (candidate == origin).all(axis=1)
-                stall = np.concatenate((stall, propose[zero]))
-                live = propose[~zero]
-                trial[live] = candidate[~zero]
-                pending.append(live)
-                propose = nothing
-        pending = np.concatenate(pending) if pending else nothing
-        if not pending.size:
-            break
-        pending.sort()  # each round's stack in start order
-        f_new, g_new, unit_new, _ = _values_and_gradients(family, trial[pending].reshape(-1, n, d))
-        g_new = g_new.reshape(-1, m)
-        f_old = f[pending]
-        step = trial[pending] - x[pending]
-        slope = _dot(g[pending], step)
-        rounding = _ROUNDING_UNITS * unit[pending]
-        armijo = f_new <= f_old + _ARMIJO * slope
-        near = ~armijo & (np.abs(f_new - f_old) <= rounding)
-        wolfe = np.zeros_like(near)
-        if near.any():
-            slope_new = _dot(g_new[near], step[near])
-            wolfe[near] = (_WOLFE_SIGMA * slope[near] <= slope_new) & (
-                slope_new <= (2.0 * _WOLFE_DELTA - 1.0) * slope[near])
+        while True:
+            at = begin.nonzero()[0]
+            if at.size:  # the top of an iteration
+                x_at, g_at = x[at], g[at]
+                low, high = _bounds(x_at)
+                pg = np.minimum(np.maximum(g_at, low), high)
+                norm = grad_norm[at] = np.abs(pg).max(axis=1)
+                converged = norm <= config.optimality_tol
+                ends = converged | (iterations[at] == config.max_iterations)
+                if ends.any():
+                    stopped[at[ends]] = np.where(converged[ends], _GRAD_TOL, _MAX_ITERATIONS)
+                    go = ~ends
+                    at, g_at, pg, low, high = at[go], g_at[go], pg[go], low[go], high[go]
+                iterations[at] += 1
+                # a row without a model prices a direction it does not take
+                newton = -np.minimum(np.maximum((H[at] @ g_at[:, :, None])[:, :, 0], low), high)
+                # a model whose direction is not downhill broke down; restart from steepest descent
+                quasi = has_model[at] & ~((_dot(newton, g_at) >= 0.0) | ~newton.any(axis=1))
+                has_model[at] = quasi
+                direction[at] = np.where(quasi[:, None], newton, -pg)
+                scale[at] = 1.0
+                propose[at] = True
+            # the next trial of every line search (a row that holds one gets it again)
+            trial = np.minimum(np.maximum(x + scale[:, None] * direction, -1.0), 1.0)
+            stall |= propose & ((scale == _EXHAUSTED) | (trial == x).all(axis=1))
+            if not stall.any():
+                break
+            # retry from steepest descent, or stop
+            stopped[stall & ~has_model] = _STALL
+            begin = stall & has_model
+            has_model &= ~stall
+            propose, stall = np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
+        done = (stopped >= 0).nonzero()[0]
+        if done.size:
+            for i in done.tolist():
+                outcomes[ids[i]] = LocalSearchResult(
+                    Design(x[i].reshape(n, d)), float(f[i]), int(iterations[i]), float(grad_norm[i]),
+                    STOP_REASONS[stopped[i]])
+            keep = stopped < 0
+            ids, x, f, g, unit, H, has_model, iterations, grad_norm, direction, scale, trial = (
+                state[keep] for state in
+                (ids, x, f, g, unit, H, has_model, iterations, grad_norm, direction, scale, trial))
+            rows = len(ids)
+            stopped = np.full(rows, -1)
+        if not rows:
+            return outcomes
+        f_new, g_new, unit_new, _ = _values_and_gradients(family, trial.reshape(rows, n, d))
+        g_new = g_new.reshape(rows, m)
+        step = trial - x
+        slope = _dot(g, step)
+        rounding = _ROUNDING_UNITS * unit
+        armijo = f_new <= f + _ARMIJO * slope
+        # where f moved within its rounding, the approximate Wolfe conditions decide
+        wolfe = ~armijo & (np.abs(f_new - f) <= rounding)
+        if wolfe.any():
+            slope_new = _dot(g_new[wolfe], step[wolfe])
+            wolfe[wolfe] = (_WOLFE_SIGMA * slope[wolfe] <= slope_new) & (
+                slope_new <= (2.0 * _WOLFE_DELTA - 1.0) * slope[wolfe])
         accepted = armijo | wolfe
         # a shorter step would change f by less than it can resolve
-        flat = ~accepted & (np.abs(slope) <= rounding)
-        halve = pending[~accepted & ~flat]
-        scale[halve] *= 0.5
-        stall, propose = pending[flat], halve
-        begin = pending[accepted]
-        g_new = g_new[accepted]
-        # a non-finite g_new leaves the model as it is, and the next top stops on it
-        finite = np.isfinite(g_new).all(axis=1)
-        _update_models(H, has_model, begin[finite], step[accepted][finite], (g_new - g[begin])[finite])
-        x[begin], f[begin], g[begin], unit[begin] = trial[begin], f_new[accepted], g_new, unit_new[accepted]
-    return [
-        error if error is not None else LocalSearchResult(
-            Design(x[i].reshape(n, d)), float(f[i]), int(iterations[i]), float(grad_norm[i]), stops[i])
-        for i, error in enumerate(errors)
-    ]
+        stall = ~accepted & (np.abs(slope) <= rounding)
+        propose = ~(accepted | stall)
+        np.multiply(scale, 0.5, out=scale, where=propose)
+        begin = accepted & np.isfinite(g_new).all(axis=1)
+        if begin.any():
+            _update_models(H, has_model, begin.nonzero()[0], step[begin], (g_new - g)[begin])
+        lost = accepted & ~begin
+        if lost.any():
+            stopped[lost], grad_norm[lost] = _NONFINITE, math.inf
+        x, g = np.where(accepted[:, None], trial, x), np.where(accepted[:, None], g_new, g)
+        f, unit = np.where(accepted, f_new, f), np.where(accepted, unit_new, unit)
 
 
 def _update_models(H, has_model, rows, s, y):
@@ -361,16 +369,20 @@ def _update_models(H, has_model, rows, s, y):
     """
     sy = _dot(s, y)
     curved = sy > _CURVATURE_FLOOR * (np.sqrt(_dot(s, s)) * np.sqrt(_dot(y, y)))
-    if not curved.any():
-        return
-    s, y, sy, rows = s[curved], y[curved], sy[curved], rows[curved]
-    model = np.where(has_model[rows, None, None], H[rows], np.eye(s.shape[1]))
+    if not curved.all():
+        s, y, sy, rows = s[curved], y[curved], sy[curved], rows[curved]
+    model = H[rows]
+    fresh = ~has_model[rows]
+    if fresh.any():
+        model[fresh] = np.eye(s.shape[1])
     rho_inv = (1.0 / sy)[:, None, None]
     Hy = (model @ y[:, :, None])[:, :, 0]
     yHy = _dot(y, Hy)[:, None, None]
+    # s Hy' + Hy s' is sHy plus its transpose: a product of two floats does not depend on their order
+    sHy = s[:, :, None] * Hy[:, None, :]
     H[rows] = (
         model
-        - rho_inv * (s[:, :, None] * Hy[:, None, :] + Hy[:, :, None] * s[:, None, :])
+        - rho_inv * (sHy + sHy.transpose(0, 2, 1))
         + (rho_inv * rho_inv * yHy + rho_inv) * (s[:, :, None] * s[:, None, :])
     )
     has_model[rows] = True

@@ -457,7 +457,8 @@ def test_pair_slopes_vs_sympy_diff():
                 # the transcription is the closed form the library evaluates
                 assert float(pair.evalf(30, subs=at)) == pytest.approx(_PAIR[kind](theta, av, bv), rel=1e-13)
                 exact = float(slope.evalf(30, subs=at))
-                worst = max(worst, abs(_DPAIR[kind](theta, av, bv) - exact) / max(1.0, abs(exact)))
+                slope_value = _DPAIR[kind](theta, av, bv, _PAIR[kind](theta, av, bv))
+                worst = max(worst, abs(slope_value - exact) / max(1.0, abs(exact)))
                 hv = abs(av - bv)
                 exact = float(rho_slope.evalf(30, subs={h: sp.Float(hv), th: sp.Float(theta)}))
                 assert _DRHO[kind](theta, hv) == pytest.approx(exact, rel=1e-13, abs=1e-15)
@@ -490,7 +491,7 @@ def test_pair_slopes_vs_quadrature():
                 )
                 worst = max(
                     worst,
-                    abs(_DPAIR[kind](theta, av, bv) - pair) / max(1.0, abs(pair)),
+                    abs(_DPAIR[kind](theta, av, bv, _PAIR[kind](theta, av, bv)) - pair) / max(1.0, abs(pair)),
                     abs(_dsingle(kind, theta, av) - single) / max(1.0, abs(single)),
                 )
     print(f"[criterion 7, pair slopes] quadrature at 48 anchor pairs, worst {worst:.2e} (<=1e-12)")

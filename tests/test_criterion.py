@@ -454,13 +454,18 @@ def test_value_and_gradient_share_the_bits_and_symmetries_of_imspe():
                 assert np.array_equal(moved_grad, grad[order] * signs)
 
 
-def _scipy_factor(R):
+def _scipy_dpotrf(R, lower=0, clean=1):
     # the scipy wrapper around dpotrf, with its own checks
-    return cho_factor(R, lower=True)[0]
+    return cho_factor(R, lower=bool(lower))[0], 0
 
 
-def _scipy_solve(c, b):
-    return cho_solve((c, True), b)
+def _scipy_dpotrs(c, b, lower=0, overwrite_b=0):
+    # the scipy wrapper around dpotrs, writing into b where asked to
+    x = cho_solve((c, bool(lower)), b)
+    if overwrite_b:
+        b[...] = x
+        x = b
+    return x, 0
 
 
 def _product_from_ones(factors):
@@ -494,8 +499,8 @@ def test_lapack_core_has_the_bits_of_the_scipy_wrappers(kind, monkeypatch):
             cases.append((fam, pts, imspe(fam, pts), _value_and_gradient(fam, pts)))
     # rebuild every case on scipy's cho_factor and cho_solve, with products
     # started from ones
-    monkeypatch.setattr(criterion, "_factor", _scipy_factor)
-    monkeypatch.setattr(criterion, "_solve", _scipy_solve)
+    monkeypatch.setattr(criterion, "dpotrf", _scipy_dpotrf)
+    monkeypatch.setattr(criterion, "dpotrs", _scipy_dpotrs)
     monkeypatch.setattr(criterion, "_product", _product_from_ones)
     monkeypatch.setattr(criterion, "_leave_one_out", _leave_one_out_from_ones)
     for fam, pts, ev, (value, grad, unit) in cases:
@@ -575,7 +580,8 @@ def _per_axis_evaluation(family, points):
     for k, col in enumerate(canonical.T):
         gap = col[:, None] - col[None, :]
         sR = criterion._DRHO[kind](th[k], np.abs(gap)) * np.sign(gap)
-        sW = criterion._DPAIR[kind](th[k], col[:, None], col[None, :])
+        a, b = col[:, None], col[None, :]
+        sW = criterion._DPAIR[kind](th[k], a, b, criterion._PAIR[kind](th[k], a, b))
         sv = integrals._dsingle(kind, th[k], col)
         rows = (dR * sR * R_rest[k]).sum(axis=1) + (dW * sW * W_rest[k]).sum(axis=1)
         grad[:, k] = 2.0 * rows + dv * sv * v_rest[k]
@@ -630,8 +636,9 @@ def test_large_designs_have_the_bits_of_one_axis_at_a_time():
 
 
 def test_filled_stacks_are_c_contiguous(monkeypatch):
-    # BLAS picks its arithmetic by memory order, so R, W and the filled
-    # leave-one-out stacks must keep the C order a full grid had
+    # BLAS picks its arithmetic by memory order, so R, W, the filled pair
+    # factors and R's filled leave-one-out stack must keep the C order a
+    # full grid had
     filled = []
     original = criterion._filled
 
@@ -648,7 +655,7 @@ def test_filled_stacks_are_c_contiguous(monkeypatch):
         assert ev.R.flags.c_contiguous and ev.W.flags.c_contiguous
         filled.clear()
         criterion._values_and_gradients(fam, np.stack([pts, pts[::-1], -pts]))
-        # R and W, then the leave-one-out stacks of R and W
+        # R and W, then the pair factors and R's leave-one-out stack
         assert [array.shape for array in filled] == [(3, 7, 7)] * 2 + [(d, 3, 7, 7)] * 2
         assert all(array.flags.c_contiguous for array in filled)
 
@@ -715,6 +722,45 @@ def test_repeated_points_raise_even_where_the_factor_succeeds():
     assert [str(error) for error in errors[::2]] == ["design has repeated points"] * 2
     assert errors[1] is None
     assert values[1] == imspe_value(fam, distinct)
+
+
+def test_lapack_calls_stay_at_their_floor(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, np.shape(args[1])[1] if name == "dpotrs" else None))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(criterion, "dpotrf", counting("dpotrf", criterion.dpotrf))
+    monkeypatch.setattr(criterion, "dpotrs", counting("dpotrs", criterion.dpotrs))
+    # at exponential theta 4.39..., rounding leaves R a positive factor at this repeated point
+    repeats = np.array([0.5826086677441835, 0.5826086677441835, 1.0, 0.3328461741628328,
+                        -0.5, 0.0, -0.39368554925243693])[:, None]
+    fam = CovarianceFamily("exponential", 4.39158914157464)
+    rng = np.random.default_rng(23)
+    n = len(repeats)
+    stack = rng.uniform(-1.0, 1.0, size=(5, n, 1))
+    stack[1] = stack[1, 0]  # no factor: every point coincides
+    stack[3] = repeats
+    values, _, _, errors = criterion._values_and_gradients(fam, stack)
+    assert "2-th leading minor" in str(errors[1])
+    assert str(errors[3]) == "design has repeated points"
+    assert [error is None for error in errors] == [True, False, True, False, True]
+    assert np.isfinite(values[[0, 2, 4]]).all()
+    # one factor per design; the value step solves [1 | W] (n + 1 columns) for each
+    # design with a factor, and the gradient [I | (R^-1 W)'] (2n columns) for each
+    # priced one
+    assert [name for name, _ in calls].count("dpotrf") == 5
+    assert [columns for name, columns in calls if name == "dpotrs"] == [n + 1] * 4 + [2 * n] * 3
+    calls.clear()
+    assert imspe(fam, stack[0]).value == values[0]
+    assert calls == [("dpotrf", None), ("dpotrs", n + 1)]
+    calls.clear()
+    with pytest.raises(SingularDesignError, match="2-th leading minor"):
+        imspe(fam, stack[1])
+    assert calls == [("dpotrf", None)]
 
 
 def test_a_nonfinite_last_pivot_is_singular():

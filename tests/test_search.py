@@ -121,6 +121,34 @@ def test_projected_gradient_zeroes_outward_components():
     assert pg2[2] == 0.0
 
 
+def _projected_by_fancy_indices(x, g):
+    # the earlier implementation, kept as the reference
+    pg = np.array(g, dtype=float, copy=True)
+    lower = x <= -1.0 + 1e-7
+    upper = x >= 1.0 - 1e-7
+    pg[lower] = np.minimum(pg[lower], 0.0)
+    pg[upper] = np.maximum(pg[upper], 0.0)
+    return pg
+
+
+def test_projected_gradient_is_a_new_array_with_the_earlier_bits():
+    rng = np.random.default_rng(5)
+    on_bounds = [-1.0, -1.0 + 5e-8, -1.0 + 2e-7, 0.0, -0.0, 1.0 - 2e-7, 1.0 - 5e-8, 1.0]
+    for _ in range(50):
+        x = np.where(rng.random((4, 6)) < 0.6, rng.choice(on_bounds, size=(4, 6)), rng.uniform(-1, 1, (4, 6)))
+        g = rng.choice([-2.0, -0.0, 0.0, 3.0, math.inf, -math.inf, math.nan], size=(4, 6))
+        g = np.where(rng.random((4, 6)) < 0.5, g, rng.standard_normal((4, 6)))
+        kept = g.copy()
+        pg = projected_gradient(x, g)
+        assert pg.dtype == np.float64 and not np.shares_memory(pg, g) and not np.shares_memory(pg, x)
+        # the same bits, signed zeros and NaN included, on both bounds and inside
+        assert pg.tobytes() == _projected_by_fancy_indices(x, g).tobytes()
+        assert g.tobytes() == kept.tobytes()
+    # lists, and integer gradients
+    assert projected_gradient([-1.0, 1.0, 0.0, 1.0], [1, -1, 2, 3]).tolist() == [0.0, 0.0, 2.0, 3.0]
+    assert projected_gradient([-1.0, 1.0], [-0.5, 0.5]).tolist() == [-0.5, 0.5]
+
+
 def test_local_search_recovers_two_point_optimum():
     fam = CovarianceFamily("exponential", [10.0])
     out = local_search(fam, Design([-0.4, 0.4]))
