@@ -21,9 +21,10 @@ the coordinate stacks of ``kernels._operands``; ``kernels._product`` takes
 them over the axes, as ``cross_correlation`` does, and one ``take``
 through a cached (n, n) index of slots fills R and W in. The value
 and the search's exact gradient (``_values_and_gradients``) share those
-stacks and one Cholesky factorization of R, made by LAPACK ``dpotrf``
-(``_factor``); every solve is one ``dpotrs`` call on that factor
-(``_solve``). These are the routines scipy's ``cho_factor`` and
+stacks and one Cholesky factorization of R. Every factor in the package is
+one LAPACK ``dpotrf`` call in ``_factor``, and every solve one ``dpotrs``
+call on that factor in ``_solve``, which writes the solution over its
+right-hand side. These are the routines scipy's ``cho_factor`` and
 ``cho_solve`` wrap, called without the wrappers' per-call checks: R, W and v
 are checked finite once per evaluation instead. A design whose R has no
 usable factor, or whose points repeat, is singular.
@@ -36,15 +37,15 @@ run once for the whole batch, on (d, S, T) triangle stacks and, for the
 slopes and the adjoint, (d, S, n, n) stacks. One canonicaliser
 (``_canonical_forms``, its rule chosen by the batch's size) and one value
 step (``_priced``) serve the batch and ``imspe()``, its batch of one. Per
-design only this runs: one ``dpotrf`` factor with its info and last-pivot
-check, one ``dpotrs`` call that solves [1 | W] in place, the
-``_singular`` comparison on its 1'u, the two exact sums of its five terms
-and, for the gradient, one more ``dpotrs`` call that solves
-[I | (R^{-1} W)'] in place on the same factor. That keeps LAPACK's bits,
-and an error is built only for a design that is singular, which prices as
-that error alone. The dot products, traces, the adjoint, the slopes (the
-gaussian's through the value's filled pair factors) and the scatter of the
-gradient back to each design's row order run on the stack.
+design only this runs: one ``_factor`` with its info and last-pivot check,
+one ``_solve`` of [1 | W] in place, the ``_singular`` comparison on its
+1'u, the two exact sums of its five terms and, for the gradient, one more
+``_solve`` of [I | (R^{-1} W)'] in place on the same factor. That keeps
+LAPACK's bits, and an error is built only for a design that is singular,
+which prices as that error alone. The dot products, traces, the adjoint,
+the slopes (the gaussian's through the value's filled pair factors) and
+the scatter of the gradient back to each design's row order run on the
+stack.
 """
 
 from __future__ import annotations
@@ -252,37 +253,27 @@ def build_single_vector(family, design):
     return _product(_SINGLE[kind](theta, col)[..., 0])
 
 
-def _illegal(routine, info):
-    """The ValueError of a LAPACK routine that reported an illegal value in argument -info."""
-    return ValueError(f"{routine} reported an illegal value in argument {-info}")
-
-
-def _unfactored(info):
-    """The SingularDesignError of a ``dpotrf`` factor that failed with ``info``, 0 for a bad last pivot.
-
-    Raises ValueError on an illegal argument (info < 0).
-    """
-    if info < 0:
-        raise _illegal("dpotrf", info)
-    if info:
-        return SingularDesignError(
-            "correlation matrix is not positive definite: "
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    return SingularDesignError("correlation matrix factorization produced non-finite entries")
-
-
 def _factor(R):
     """Lower Cholesky factor c of a finite R by LAPACK ``dpotrf``, or SingularDesignError.
 
     Raises when a leading minor is not positive definite or the last pivot is
     not positive and finite: ``dpotrf`` takes only positive or NaN pivots and
     a non-finite entry makes every later pivot NaN or stops it, so that pivot
-    vouches for the whole factor. The upper triangle of c is R's own.
+    vouches for the whole factor. The upper triangle of c is R's own. Raises
+    ValueError if LAPACK reports an illegal argument.
     """
-    c, info = dpotrf(R, lower=1, clean=0)
+    # the flags go by position (lower=1, clean=0), as parsing keywords costs
+    # more than the LAPACK work on a small design
+    c, info = dpotrf(R, 1, 0)
     if info or not 0.0 < c[-1, -1] < math.inf:
-        raise _unfactored(info)
+        if info < 0:
+            raise ValueError(f"dpotrf reported an illegal value in argument {-info}")
+        if info:
+            raise SingularDesignError(
+                "correlation matrix is not positive definite: "
+                f"{info}-th leading minor of the array is not positive definite"
+            )
+        raise SingularDesignError("correlation matrix factorization produced non-finite entries")
     return c
 
 
@@ -302,10 +293,15 @@ def _singular(denom, repeated):
 
 
 def _solve(c, b):
-    """R^{-1} b from the factor c of ``_factor``; b is a vector or a matrix of columns."""
-    x, info = dpotrs(c, b, lower=1)
+    """R^{-1} b by LAPACK ``dpotrs`` from the factor c of ``_factor``; b is a vector or a matrix of columns.
+
+    The solution is written over b when b is Fortran-contiguous (a vector
+    always is) and returned, so a caller that reads b again passes a copy.
+    Raises ValueError if LAPACK reports an illegal argument.
+    """
+    x, info = dpotrs(c, b, 1, 1)  # lower=1, overwrite_b=1, by position as in _factor
     if info:
-        raise _illegal("dpotrs", info)
+        raise ValueError(f"dpotrs reported an illegal value in argument {-info}")
     return x
 
 
@@ -355,12 +351,12 @@ def _priced(R, W, v, repeated):
     SingularDesignError, the solves, and a list of S entries holding each
     priced design's ``dpotrf`` factor, or None where it is singular; a
     singular design's value is +inf and its unit 0.0. Per design only LAPACK
-    and the exact sums run: one ``dpotrf`` factor, which keeps LAPACK's
-    bits, one ``dpotrs`` call that solves its columns [1 | W] in place, the
-    ``_singular`` rule on its 1'u and the two exact sums of its five terms;
-    the dot products and the trace run on the stack. The solves are
-    u = R^{-1} 1, 1'u, u'W, u'v, u'Wu and (R^{-1} W)'; a singular design has
-    zeros there (and 1.0 for 1'u).
+    and the exact sums run: one ``_factor``, which keeps LAPACK's bits (a
+    design it refuses keeps that error and skips its solve), one ``_solve``
+    of its columns [1 | W] in place, the ``_singular`` rule on its 1'u and
+    the two exact sums of its five terms; the dot products and the trace run
+    on the stack. The solves are u = R^{-1} 1, 1'u, u'W, u'v, u'Wu and
+    (R^{-1} W)'; a singular design has zeros there (and 1.0 for 1'u).
     """
     size, n = v.shape
     # design s's solution of column k of [1 | W] is solved[s, k], zeros where s is singular
@@ -368,17 +364,14 @@ def _priced(R, W, v, repeated):
     solved[:, 0] = 1.0
     solved[:, 1:] = W.transpose(0, 2, 1)
     errors, factors = [None] * size, [None] * size
-    # the flags go by position (dpotrf: lower=1, clean=0; dpotrs: lower=1, overwrite_b=1), as parsing
-    # keywords costs more than the LAPACK work on a small design
     for s, (block, columns) in enumerate(zip(R, solved.transpose(0, 2, 1))):
-        c, info = dpotrf(block, 1, 0)
-        if info or not 0.0 < c[-1, -1] < math.inf:
-            errors[s] = _unfactored(info)
+        try:
+            factors[s] = _factor(block)
+        except SingularDesignError as error:
+            # kept without its traceback, which would hold this frame and its stacks
+            errors[s] = error.with_traceback(None)
             continue
-        info = dpotrs(c, columns, 1, 1)[1]
-        if info:
-            raise _illegal("dpotrs", info)
-        factors[s] = c
+        _solve(factors[s], columns)
     u = solved[:, 0]
     denom = (u[:, None, :] @ np.ones((n, 1)))[:, 0, 0]
     for s, (ones_u, twice) in enumerate(zip(denom.tolist(), repeated.tolist())):
@@ -406,12 +399,10 @@ def _priced(R, W, v, repeated):
 
 
 def _leave_one_out(stack):
-    """Stack whose k-th entry is the product of all factors but the k-th (ones for a lone factor).
+    """Stack whose k-th entry is the product of all factors but the k-th, from a stack of two or more.
 
     Factors before k multiply in axis order, those after k in reverse order,
     each from its first factor."""
-    if len(stack) == 1:
-        return np.ones_like(stack)
     before = np.multiply.accumulate(stack[:-1], axis=0)  # before[k]: factors 0..k
     after = np.multiply.accumulate(stack[:0:-1], axis=0)  # after[k]: factors d-1 down to d-1-k
     return np.concatenate((after[-1:], before[:-1] * after[:-1][::-1], before[-1:]))
@@ -461,10 +452,10 @@ def _values_and_gradients(family, stack):
 
     Everything runs once on the whole stack but what is kept per design:
     the factor ``_priced`` returns, the solves on it (here R^{-1} and
-    R^{-1} W R^{-1}, from one ``dpotrs`` call that solves the columns
-    [I | (R^{-1} W)'] in place) and the exact sums. So every design keeps
-    the bits it has on its own. The canonical forms and repeated-point flags
-    come from ``_canonical_forms``.
+    R^{-1} W R^{-1}, from one ``_solve`` of the columns [I | (R^{-1} W)'] in
+    place) and the exact sums. So every design keeps the bits it has on its
+    own. The canonical forms and repeated-point flags come from
+    ``_canonical_forms``.
     """
     size, n, _ = stack.shape
     canonical, order, signs, repeated = _canonical_forms(stack)
@@ -478,10 +469,8 @@ def _values_and_gradients(family, stack):
     for s, (c, columns) in enumerate(zip(cholesky, solved.transpose(0, 2, 1))):
         if c is None:
             solved[s] = 0.0
-            continue
-        info = dpotrs(c, columns, 1, 1)[1]  # lower=1, overwrite_b=1, as in _priced
-        if info:
-            raise _illegal("dpotrs", info)
+        else:
+            _solve(c, columns)
     Rinv, RiWRi = solved[:, :n].transpose(0, 2, 1), solved[:, n:].transpose(0, 2, 1)
     z = (Rinv @ (uW - v)[:, :, None])[:, :, 0]
     numerator = 1.0 - 2.0 * lin + quad
@@ -498,9 +487,12 @@ def _values_and_gradients(family, stack):
     pair = _filled(factors[1], n)
     sW = _DPAIR[kind](theta, col, row, pair)
     sv = _dsingle(kind, theta, col)[..., 0]
-    # the products of the other axes' factors: R's on the triangle, then filled; W's on the filled pair factors
-    R_rest, W_rest = _filled(_leave_one_out(factors[0]), n), _leave_one_out(pair)
-    v_rest = _leave_one_out(factors[2])
+    # the products of the other axes' factors: R's on the triangle, then filled; W's on the filled pair
+    # factors; a lone axis has none, and multiplying by 1.0 is exact
+    R_rest = W_rest = v_rest = 1.0
+    if len(pair) > 1:
+        R_rest, W_rest = _filled(_leave_one_out(factors[0]), n), _leave_one_out(pair)
+        v_rest = _leave_one_out(factors[2])
     # R and W are symmetric, so row i and column i contribute alike
     rows = (dR * sR * R_rest).sum(axis=-1) + (dW * sW * W_rest).sum(axis=-1)
     grad = 2.0 * rows + dv * sv * v_rest
@@ -525,9 +517,8 @@ def mspe_evaluator(family, design):
     dsn = as_design(design)
     R = build_correlation_matrix(family, dsn)
     c = _factor(R)
-    ones = np.ones(len(R))
-    u = _solve(c, ones)
-    denom = float(u @ ones)
+    u = _solve(c, np.ones(len(R)))  # written over its ones
+    denom = float(u @ np.ones(len(R)))
     # not canonicalised: the profile is not reflection-invariant
     error = _singular(denom, _repeats(_sort_rows(dsn.points)[0][None])[0])
     if error is not None:
@@ -540,7 +531,7 @@ def mspe_evaluator(family, design):
             raise InvalidDesignError("locations must be finite")
         r = _cross_correlation(family, dsn.points, locations)
         _check_finite(family.kind, family.theta, r=r)
-        solved = _solve(c, r)
+        solved = _solve(c, r.copy(order="F"))  # r is read again below
         quad = np.einsum("ij,ij->j", r, solved)
         lin = u @ r
         out = 1.0 - quad + (1.0 - lin) ** 2 / denom

@@ -555,13 +555,14 @@ def _per_axis_evaluation(family, points):
     R, W, v = map(_per_axis_product, factors)
     c = criterion._factor(R)
     ones = np.ones(n)
-    u = criterion._solve(c, ones)
+    # _solve writes over its right-hand side, so the columns read again go in as copies
+    u = criterion._solve(c, ones.copy())
     denom = float(u @ ones)
     if not np.isfinite(c).all() or (c.diagonal() <= 0.0).any() or not 0.0 < denom < math.inf:
         raise SingularDesignError("correlation matrix is numerically singular")
     if (canonical[1:] == canonical[:-1]).all(axis=1).any():
         raise SingularDesignError("design has repeated points")
-    RiW = criterion._solve(c, W)
+    RiW = criterion._solve(c, W.copy())
     uW = u @ W
     lin, quad = float(u @ v), float(uW @ u)
     terms = (1.0, -float(np.trace(RiW)), 1.0 / denom, -2.0 * lin / denom, quad / denom)
@@ -572,7 +573,7 @@ def _per_axis_evaluation(family, points):
     z = Rinv @ (uW - v)
     dW = uu - Rinv
     dv = -2.0 * u / denom
-    dR = criterion._solve(c, RiW.T) - (z[:, None] * u + u[:, None] * z) / denom + numerator * uu / denom
+    dR = criterion._solve(c, RiW.T.copy()) - (z[:, None] * u + u[:, None] * z) / denom + numerator * uu / denom
     th = family.theta_for_dimension(d)
     kind = family.kind
     R_rest, W_rest, v_rest = map(_per_axis_leave_one_out, factors)
@@ -638,7 +639,7 @@ def test_large_designs_have_the_bits_of_one_axis_at_a_time():
 def test_filled_stacks_are_c_contiguous(monkeypatch):
     # BLAS picks its arithmetic by memory order, so R, W, the filled pair
     # factors and R's filled leave-one-out stack must keep the C order a
-    # full grid had
+    # full grid had; a lone axis has no leave-one-out stack
     filled = []
     original = criterion._filled
 
@@ -655,8 +656,8 @@ def test_filled_stacks_are_c_contiguous(monkeypatch):
         assert ev.R.flags.c_contiguous and ev.W.flags.c_contiguous
         filled.clear()
         criterion._values_and_gradients(fam, np.stack([pts, pts[::-1], -pts]))
-        # R and W, then the pair factors and R's leave-one-out stack
-        assert [array.shape for array in filled] == [(3, 7, 7)] * 2 + [(d, 3, 7, 7)] * 2
+        # R and W, then the pair factors and, with two or more axes, R's leave-one-out stack
+        assert [array.shape for array in filled] == [(3, 7, 7)] * 2 + [(d, 3, 7, 7)] * (1 + (d > 1))
         assert all(array.flags.c_contiguous for array in filled)
 
 
@@ -725,16 +726,21 @@ def test_repeated_points_raise_even_where_the_factor_succeeds():
 
 
 def test_lapack_calls_stay_at_their_floor(monkeypatch):
-    calls = []
+    # calls holds the LAPACK calls and seam the _factor and _solve calls, under
+    # the name of the routine each makes, with a solve's column count (1 for a vector)
+    calls, seam = [], []
 
-    def counting(name, fn):
+    def counting(log, name, fn):
         def wrapped(*args, **kwargs):
-            calls.append((name, np.shape(args[1])[1] if name == "dpotrs" else None))
+            columns = None if name == "dpotrf" else 1 if np.ndim(args[1]) == 1 else np.shape(args[1])[1]
+            log.append((name, columns))
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(criterion, "dpotrf", counting("dpotrf", criterion.dpotrf))
-    monkeypatch.setattr(criterion, "dpotrs", counting("dpotrs", criterion.dpotrs))
+    monkeypatch.setattr(criterion, "dpotrf", counting(calls, "dpotrf", criterion.dpotrf))
+    monkeypatch.setattr(criterion, "dpotrs", counting(calls, "dpotrs", criterion.dpotrs))
+    monkeypatch.setattr(criterion, "_factor", counting(seam, "dpotrf", criterion._factor))
+    monkeypatch.setattr(criterion, "_solve", counting(seam, "dpotrs", criterion._solve))
     # at exponential theta 4.39..., rounding leaves R a positive factor at this repeated point
     repeats = np.array([0.5826086677441835, 0.5826086677441835, 1.0, 0.3328461741628328,
                         -0.5, 0.0, -0.39368554925243693])[:, None]
@@ -754,13 +760,54 @@ def test_lapack_calls_stay_at_their_floor(monkeypatch):
     # priced one
     assert [name for name, _ in calls].count("dpotrf") == 5
     assert [columns for name, columns in calls if name == "dpotrs"] == [n + 1] * 4 + [2 * n] * 3
-    calls.clear()
+    # every LAPACK call goes through _factor or _solve
+    assert seam == calls
+    del calls[:], seam[:]
     assert imspe(fam, stack[0]).value == values[0]
-    assert calls == [("dpotrf", None), ("dpotrs", n + 1)]
-    calls.clear()
+    assert seam == calls == [("dpotrf", None), ("dpotrs", n + 1)]
+    del calls[:], seam[:]
     with pytest.raises(SingularDesignError, match="2-th leading minor"):
         imspe(fam, stack[1])
-    assert calls == [("dpotrf", None)]
+    assert seam == calls == [("dpotrf", None)]
+    del calls[:], seam[:]
+    # the profile factors R once and solves 1 once; each call solves its m locations
+    m = 3
+    assert mspe_evaluator(fam, stack[0])(np.linspace(-0.5, 0.5, m)).shape == (m,)
+    assert seam == calls == [("dpotrf", None), ("dpotrs", 1), ("dpotrs", m)]
+
+
+def test_lapack_illegal_arguments_raise_value_errors(monkeypatch):
+    # fakes that report an illegal third argument (info = -3); the last one
+    # fails only the gradient's 2n-column solve
+    dpotrs = criterion.dpotrs
+
+    def bad_factor(a, *args):
+        return a, -3
+
+    def bad_solve(c, b, *args):
+        return b, -3
+
+    def bad_gradient_solve(c, b, *args):
+        return (b, -3) if b.shape[1] == 2 * len(c) else dpotrs(c, b, *args)
+
+    fam = CovarianceFamily("matern52", 2.0)
+    pts = np.array([[-0.5], [0.1], [0.6]])
+    profile = mspe_evaluator(fam, pts)
+    cases = [
+        ("dpotrf", bad_factor, imspe, pts),
+        ("dpotrs", bad_solve, imspe, pts),
+        ("dpotrf", bad_factor, criterion._values_and_gradients, np.stack([pts, -pts])),
+        ("dpotrs", bad_solve, criterion._values_and_gradients, np.stack([pts, -pts])),
+        ("dpotrs", bad_gradient_solve, criterion._values_and_gradients, np.stack([pts, -pts])),
+        ("dpotrf", bad_factor, mspe_evaluator, pts),
+        ("dpotrs", bad_solve, mspe_evaluator, pts),
+        ("dpotrs", bad_solve, lambda fam, x: profile(x), 0.2),
+    ]
+    for routine, fake, call, points in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(criterion, routine, fake)
+            with pytest.raises(ValueError, match=f"^{routine} reported an illegal value in argument 3$"):
+                call(fam, points)
 
 
 def test_a_nonfinite_last_pivot_is_singular():
